@@ -1,94 +1,13 @@
-"""Minimal TOML-subset reader/writer for experiment configs.
+"""Minimal TOML writer for experiment configs; configs are read by tomllib.
 
-Supports [dotted.section] headers, key = value lines with strings, numbers,
-booleans and flat arrays, and # comments. Writing is deterministic (sorted
-keys), and parse(dump(cfg)) == cfg for every config the package emits.
+Writes [dotted.section] headers and key = value lines with strings,
+numbers, booleans and flat arrays. Output is deterministic (sorted keys),
+and tomllib.loads(dump(cfg)) == cfg for every config the package emits.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List
-
-
-class ConfigSyntaxError(ValueError):
-    pass
-
-
-def _parse_scalar(tok: str):
-    tok = tok.strip()
-    if not tok:
-        raise ConfigSyntaxError("empty value")
-    if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-        return tok[1:-1]
-    if tok == "true":
-        return True
-    if tok == "false":
-        return False
-    try:
-        if any(c in tok for c in ".eE") or tok in ("inf", "-inf", "nan"):
-            return float(tok)
-        return int(tok)
-    except ValueError as exc:
-        raise ConfigSyntaxError(f"cannot parse value {tok!r}") from exc
-
-
-def _split_array(body: str) -> List[str]:
-    items, cur, in_str = [], "", False
-    for ch in body:
-        if ch == '"':
-            in_str = not in_str
-            cur += ch
-        elif ch == "," and not in_str:
-            items.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        items.append(cur)
-    return items
-
-
-def parse(text: str) -> Dict[str, Any]:
-    root: Dict[str, Any] = {}
-    section = root
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigSyntaxError(f"line {lineno}: malformed section header")
-            path = line[1:-1].strip()
-            if not path:
-                raise ConfigSyntaxError(f"line {lineno}: empty section name")
-            section = root
-            for part in path.split("."):
-                section = section.setdefault(part.strip(), {})
-                if not isinstance(section, dict):
-                    raise ConfigSyntaxError(f"line {lineno}: {path!r} collides with a value")
-            continue
-        if "=" not in line:
-            raise ConfigSyntaxError(f"line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        # strip trailing comments outside strings
-        out, in_str = "", False
-        for ch in val:
-            if ch == '"':
-                in_str = not in_str
-            if ch == "#" and not in_str:
-                break
-            out += ch
-        val = out.strip()
-        if val.startswith("["):
-            if not val.endswith("]"):
-                raise ConfigSyntaxError(f"line {lineno}: unterminated array")
-            body = val[1:-1].strip()
-            section[key] = [] if not body else [_parse_scalar(t) for t in _split_array(body)]
-        else:
-            section[key] = _parse_scalar(val)
-    return root
 
 
 def _fmt_scalar(v) -> str:

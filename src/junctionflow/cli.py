@@ -18,13 +18,14 @@ import argparse
 import json
 import os
 import sys
+import tomllib
 from typing import Optional
 
 import numpy as np
 
 from . import _toml
 from ._util import default_workers, reject_non_finite
-from .cl_oracle import cross_check, make_grid
+from .cl_oracle import cross_check, density_from_value_field, make_grid
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel
 from .functionals import BoxWeight, CostSpec, cost_report, make_box_weight
@@ -178,6 +179,17 @@ class _Builder:
                 self.fail("[mesh] does not cover the weight support")
         return CostSpec(weight, linear_coeff=float(block.get("linear_coeff", 0.0)))
 
+    def run_options(self, out_dir, workers):
+        """Output directory and worker count: the flags, else the [run] entries."""
+        out_dir = out_dir or self.get("run.out_dir", "out")
+        if not isinstance(out_dir, str):
+            self.fail("config entry [run.out_dir] must be a string")
+        if workers is None:
+            workers = self.get("run.workers", default_workers())
+            if isinstance(workers, bool) or not isinstance(workers, int):
+                self.fail(f"config entry [run.workers] must be an integer, got {workers!r}")
+        return out_dir, workers
+
     def done(self):
         if self.problems:
             raise ConfigError(self.problems)
@@ -188,6 +200,17 @@ def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _write_density_csv(path, field):
+    """-u_x between mesh columns, as x,t,rho rows at the column midpoints."""
+    rho = density_from_value_field(field)
+    mids = 0.5 * (field.xs[:-1] + field.xs[1:])
+    with open(path, "w") as fh:
+        fh.write("x,t,rho\n")
+        for j, t in enumerate(field.ts):
+            for i, x in enumerate(mids):
+                fh.write(f"{x:.17g},{t:.17g},{rho[i, j]:.17g}\n")
 
 
 def _horizon_check(b: _Builder, ctrl, mesh):
@@ -210,13 +233,7 @@ def cmd_solve(cfg, out_dir, workers):
     b.done()
     field = value_grid(model, u0, ctrl, mesh, workers=workers)
     field.write_csv(os.path.join(out_dir, "u.csv"))
-    rho = (field.u[:-1, :] - field.u[1:, :]) / np.diff(field.xs)[:, None]
-    mids = 0.5 * (field.xs[:-1] + field.xs[1:])
-    with open(os.path.join(out_dir, "rho_hj.csv"), "w") as fh:
-        fh.write("x,t,rho\n")
-        for j, t in enumerate(field.ts):
-            for i, x in enumerate(mids):
-                fh.write(f"{x:.17g},{t:.17g},{rho[i, j]:.17g}\n")
+    _write_density_csv(os.path.join(out_dir, "rho_hj.csv"), field)
     trace = junction_trace(field)
     with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
         fh.write("t,u_left,u_right\n")
@@ -321,14 +338,7 @@ def cmd_crosscheck(cfg, out_dir, workers):
         ok=rep["l1_density_error"] <= tol,
     )
     _write_json(os.path.join(out_dir, "crosscheck.json"), out)
-    field = rep["field"]
-    rho = (field.u[:-1, :] - field.u[1:, :]) / np.diff(field.xs)[:, None]
-    mids = 0.5 * (field.xs[:-1] + field.xs[1:])
-    with open(os.path.join(out_dir, "rho_hj.csv"), "w") as fh:
-        fh.write("x,t,rho\n")
-        for j, t in enumerate(field.ts):
-            for i, x in enumerate(mids):
-                fh.write(f"{x:.17g},{t:.17g},{rho[i, j]:.17g}\n")
+    _write_density_csv(os.path.join(out_dir, "rho_hj.csv"), rep["field"])
     return EXIT_OK if out["ok"] else EXIT_AUDIT
 
 
@@ -419,7 +429,8 @@ def cmd_reproduce_prop511(cfg, out_dir, workers):
 
     res = optimize_bangbang(model, u0, spec, T, int(opt_cfg.get("k_max", 2)),
                             int(opt_cfg.get("budget", 260)), mesh, workers=workers)
-    print(f"optimizer: J = {res.cost:.12g} with switches {list(res.control.times[1:-1])}")
+    switches = [float(s) for s in res.control.times[1:-1]]
+    print(f"optimizer: J = {res.cost:.12g} with switches {switches}")
     audit = check_optimality(model, u0, res.control, spec, mesh, workers=workers)
     report = component_report(model, u0, res.control, mesh, spec=spec, workers=workers)
     pat = pattern_extract(res, model.A0)
@@ -482,21 +493,19 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                cfg = _toml.parse(fh.read())
-        except (OSError, _toml.ConfigSyntaxError) as exc:
+                cfg = tomllib.loads(fh.read())
+        except (OSError, UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     elif args.command != "reproduce-prop511":
         print("config error: --config is required for this command", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = args.out or cfg.get("run", {}).get("out_dir", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    workers = args.workers
-    if workers is None:
-        workers = int(cfg.get("run", {}).get("workers", default_workers()))
-
     try:
+        b = _Builder(cfg)
+        out_dir, workers = b.run_options(args.out, args.workers)
+        b.done()
+        os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg, out_dir, workers)
     except ConfigError as exc:
         for p in exc.problems:

@@ -205,6 +205,29 @@ class Hamiltonian:
             return self.kappa * (2.0 * q + self.R)
         return self._table_deriv(np.clip(q, -self.R, 0.0))
 
+    def branch_inverse(self, h, branch: int):
+        """The p with H(p) = h on one monotone branch of H, h clipped into [h_min, 0].
+
+        branch > 0 takes p in [p_hat, 0] (leg slopes H'(p) >= 0), branch < 0
+        takes p in [-R, p_hat]. Closed form for both kinds: the tabulated H is
+        a quadratic between consecutive knots, and monotone on each branch.
+        """
+        h = np.clip(_as_float_array(h), self.h_min, 0.0)
+        if self.kind == "quadratic":
+            return self.p_hat + branch * np.sqrt(np.maximum(self.p_hat**2 + h / self.kappa, 0.0))
+        lo, hi, c0, c1, c2 = self._table
+        j_hat = int(np.searchsorted(lo, self.p_hat, side="right")) - 1
+        if branch > 0:  # knot values c0 rise after the vertex piece
+            j = j_hat + np.searchsorted(c0[j_hat + 1 :], h, side="right")
+        else:  # and fall before it
+            j = np.searchsorted(-c0[1 : j_hat + 1], -h, side="right")
+        r, b = h - c0[j], c1[j]
+        s = branch * np.sqrt(np.maximum(b * b + 4.0 * c2[j] * r, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # the branch's root, cancellation-free
+            dp = np.where(branch * b >= 0, 2.0 * r / (b + s), (s - b) / (2.0 * c2[j]))
+        p = lo[j] + np.nan_to_num(dp)  # 0/0 only at a vertex knot, where dp = 0
+        return np.clip(p, self.p_hat, 0.0) if branch > 0 else np.clip(p, -self.R, self.p_hat)
+
     def flux(self, rho):
         return -self.value(-_as_float_array(rho))
 

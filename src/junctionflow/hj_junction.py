@@ -7,15 +7,22 @@ exhaust the minimizers:
   F2  a leg (y, 0) -> (0, a), a stay at the junction on [a, b] paying
       -integral(A, a, b), then a leg (0, b) -> (x, t).
 
-Writing I(t) for the running integral of A, the dwell cost splits as
-Phi(a) + Psi(b) with Phi(a) = G(a) + I(a) and Psi(b) = W(b) - I(b), where
-G(a) is the cheapest straight approach to (0, a) and W(b) the exit-leg cost.
-The search over 0 <= a <= b <= t therefore reduces to a prefix-minimum scan
-over a candidate grid (uniform plus the control breakpoints and the per-x
-onset of the free exit), followed by local refinement from three seeds. All
-inner y-minimizations are exact per linear piece of the datum, so every
-candidate is a true path cost and the reported value is always an upper
-bound of the infimum.
+With I the running integral of A, G(a) the cheapest straight approach to
+(0, a) and W the exit-leg cost, F2 splits into the junction trace
+V0(b) = u(0, b) = min_{a <= b} [G(a) + I(a)] - I(b) and one exit leg,
+F2(x, t) = min_b V0(b) + W(x, t - b) (Lax-Hopf with an internal boundary
+condition; Claudel and Bayen, IEEE TAC 2010; Mazare et al., Transp. Res. B
+2011). G is the envelope of an affine candidate per datum piece and a fan
+per datum kink, so G + I is convex on each (candidate, control cell) piece
+and V0, built once per Evaluator, is the envelope of few convex segments:
+the candidates (a = b) and holds M - I(b) at the levels M reached at piece
+minimizers. On an affine segment of slope v the exit slope p solves
+H(p) = -v on the branch of the exit direction and b = t - x / H'(p) is
+clipped to the segment; on a fan segment approach and exit share one flux
+level H(p), bisected until its bracket is one ulp wide. Every candidate is
+a true path cost and every minimization is exact, so the value is the
+infimum up to rounding. Tie selection reads its band edges from the same
+segments.
 """
 
 from __future__ import annotations
@@ -32,14 +39,8 @@ MOST_AT_ZERO = "MostAtZero"
 LEAST_AT_ZERO = "LeastAtZero"
 
 TIE_SCALE = 1e-8
-COARSE_N = 65
-REFINE_ROUNDS = 10
-REFINE_SHRINK = 0.2
-REFINE_POINTS = 7
-PREFIX_SEEDS = 3  # best prefix-paired candidate per tercile of [0, t]
-DIAG_SEEDS = 2  # best degenerate a = b candidate per half of [0, t]
-SEED_COUNT = PREFIX_SEEDS + DIAG_SEEDS
 CONTROL_RANGE_TOL = 1e-9
+_BLOCK = 1 << 18  # node-by-segment elements per block of rows in dwell_batch
 
 
 class SolverError(ValueError):
@@ -147,6 +148,7 @@ class Evaluator:
                 uref=uref[keep],
                 alpha=np.asarray(H.slope_for_cost_slope(q[keep]), dtype=float),
             )
+        self._build_trace()
 
     # ---- straight family ---------------------------------------------------
 
@@ -189,12 +191,7 @@ class Evaluator:
     def approach_cost(self, a, need_y=False):
         """G(a): cheapest straight approach to the junction point (0, a)."""
         a = np.asarray(a, dtype=float)
-        vl, yl = self._side_min(-1, np.zeros_like(a), a, need_y)
-        vr, yr = self._side_min(1, np.zeros_like(a), a, need_y)
-        out = np.minimum(vl, vr)
-        if not need_y:
-            return out, None
-        return out, np.where(vl <= vr, yl, yr)
+        return self.straight_value(np.zeros_like(a), a, need_y)
 
     def exit_cost(self, x, t, b):
         """W(b): exit leg (0, b) -> (x, t); for x = 0 only b = t is admissible."""
@@ -207,167 +204,163 @@ class Evaluator:
         w = np.where(x < 0, wl, wr)
         return np.where(x == 0, np.where(s == 0.0, 0.0, np.inf), w)
 
+    # ---- junction trace ------------------------------------------------------
+
+    def _build_trace(self):
+        """The convex pieces of G + I and the segments of the trace V0, once."""
+        model, A = self.model, self.A
+        T = A.horizon
+        aff = set()  # affine approach candidates (d0, d1, c, v): G(a) <= c + v a on [d0, d1]
+        fans = {}  # datum kinks (side, e) -> u0(e): G(a) <= u0(e) + leg(-e, a)
+        for side, P in self._pieces.items():
+            H = model.left if side < 0 else model.right
+            for lo, hi, q, yref, uref, al in zip(*P.values()):
+                # the interior minimizer y = -a H'(q) stays in the piece for a in [d0, d1];
+                # with H'(q) = 0 it sits at y = 0, the piece end handled below
+                d0, d1 = sorted((-lo / al, -hi / al)) if al != 0 else (np.inf, -np.inf)
+                if max(d0, 0.0) <= min(d1, T):
+                    aff.add((max(d0, 0.0), min(d1, T), uref - q * yref, -float(H.value(q))))
+                for e in (lo, hi):  # outside it the minimizer sticks to a piece end
+                    if e == 0.0:
+                        aff.add((0.0, T, 0.0, H.f_max))  # sitting beside the junction
+                    elif np.isfinite(e):
+                        fans[(side, float(e))] = float(self.u0.eval(e))
+        # candidates (d0, d1, c, v, e, side); a fan adds the leg from the kink e on its
+        # side (0 for none), on all of [0, T]
+        cand = np.array([(*row, 0.0, 0) for row in sorted(aff)]
+                        + [(0.0, T, u, 0.0, e, side) for (side, e), u in fans.items()])
+        self._fans = bool(fans)
+
+        # G + I on each (candidate, control cell): affine, or convex along a fan
+        t0, t1, ak = np.asarray(A.times[:-1]), np.asarray(A.times[1:]), np.asarray(A.values)
+        phi = dict(
+            lo=np.maximum.outer(cand[:, 0], t0).ravel(),
+            hi=np.minimum.outer(cand[:, 1], t1).ravel(),
+            c=np.add.outer(cand[:, 2], A.cumulative(t0) - ak * t0).ravel(),
+            v=np.add.outer(cand[:, 3], ak).ravel(),
+            e=np.repeat(cand[:, 4], len(ak)),
+            side=np.repeat(cand[:, 5], len(ak)),
+        )
+        phi = {k: v[phi["lo"] <= phi["hi"]] for k, v in phi.items()}
+        arg = np.where(phi["v"] >= 0, phi["lo"], phi["hi"])
+        if self._fans:  # a fan piece is stationary where its leg's flux level H(p) equals A
+            with np.errstate(divide="ignore"):
+                a = np.abs(phi["e"]) / self._speed(phi["side"], phi["v"], True)
+            arg = np.where(phi["side"] != 0, np.clip(a, phi["lo"], phi["hi"]), arg)
+        phi["arg"] = arg
+        self._phi = phi
+        mu = self._piece(phi, slice(None), arg)
+
+        # holds: a prefix minimum of G + I only takes levels reached at piece minimizers
+        order = np.argsort(arg, kind="stable")
+        run = np.minimum.accumulate(mu[order])
+        drop = np.concatenate([[True], run[1:] < run[:-1]])
+        ra, rm = arg[order][drop], run[drop]
+        z = np.unique(np.concatenate([ra, A.times]))
+        z = z[z >= ra[0]]
+        zl, zh = (z, z) if len(z) == 1 else (z[:-1], z[1:])
+        j = np.searchsorted(ra, zl, side="right") - 1
+        k = np.clip(np.searchsorted(A.times, zl, side="right") - 1, 0, len(ak) - 1)
+
+        # trace segments: the candidates themselves (approach and leave at once), then holds
+        seg = dict(
+            lo=np.concatenate([cand[:, 0], zl]),
+            hi=np.concatenate([cand[:, 1], zh]),
+            c=np.concatenate([cand[:, 2], rm[j] - A.cumulative(zl) + ak[k] * zl]),
+            v=np.concatenate([cand[:, 3], -ak[k]]),
+            e=np.concatenate([cand[:, 4], np.zeros(len(zl))]),
+            side=np.concatenate([cand[:, 5], np.zeros(len(zl))]),
+            a=np.concatenate([np.full(len(cand), np.nan), ra[j]]),  # dwell start; nan: a = b
+        )
+        with np.errstate(divide="ignore"):  # exit slope p with H(p) = -v, as 1 / |H'(p)|
+            seg["lag"] = [1.0 / self._speed(side, -seg["v"], False) for side in (-1, 1)]
+        self._seg = seg
+
+    def _piece(self, tab, idx, z):
+        """Value at z of the pieces idx of a table: c + v z, plus the kink-fan leg."""
+        out = tab["c"][idx] + tab["v"][idx] * z
+        if not self._fans:
+            return out
+        e, side = tab["e"][idx], tab["side"][idx]
+        leg = np.where(side < 0, self.model.left.leg_cost(-e, z), self.model.right.leg_cost(-e, z))
+        return out + np.where(side != 0, leg, 0.0)
+
+    def _speed(self, side, h, inward):
+        """|H'(p)| of a leg on the given side at flux level H(p) = h, moving toward
+        the junction (inward) or away from it."""
+        L, R = self.model.left, self.model.right
+        d = 1 if inward else -1
+        return np.abs(np.where(np.asarray(side) < 0, L.deriv(L.branch_inverse(h, d)),
+                               R.deriv(R.branch_inverse(h, -d))))
+
+    def _fan_ends(self, x, t):
+        """Stay ends on the fan segments: approach and exit legs share a flux level h
+        at the optimum, and their durations, falling in h, add up to t there."""
+        L, R, fan = self.model.left, self.model.right, self._seg["side"] != 0
+        e, side = np.abs(self._seg["e"][fan]), self._seg["side"][fan]
+        h_lo = np.maximum(np.where(side < 0, L.h_min, R.h_min), np.where(x < 0, L.h_min, R.h_min))
+        shape = np.broadcast_shapes(np.shape(x), np.shape(t), e.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exit_time = lambda h: np.where(x == 0, 0.0, np.abs(x) / self._speed(x, h, False))
+            h = _bisect(lambda h: e / self._speed(side, h, True) + exit_time(h) >= t,
+                        np.broadcast_to(h_lo, shape), np.zeros(shape))
+            return np.clip(t - exit_time(h), 0.0, t)
+
     # ---- dwell family --------------------------------------------------------
 
-    def _phi_on(self, a):
-        g, _ = self.approach_cost(a)
-        return g + self.A.cumulative(a)
+    def _stay_ends(self, x, t):
+        """Cheapest stay end b per node and trace segment (last axis), and its path cost.
 
-    def _psi_on(self, x, t, b):
-        return self.exit_cost(x, t, b) - self.A.cumulative(b)
+        On an affine segment of slope v the exit is stationary where its slope
+        p solves H(p) = -v on the branch of the exit direction, so
+        b = t - |x| / |H'(p)|, clipped to the segment. Segments that start
+        after t cost inf.
+        """
+        S = self._seg
+        with np.errstate(invalid="ignore"):
+            s = np.where(x == 0, 0.0, np.abs(x) * np.where(x < 0, *S["lag"]))
+        b = np.clip(t - s, S["lo"], np.minimum(S["hi"], t))
+        if self._fans:
+            b[..., S["side"] != 0] = self._fan_ends(x, t)
+        cost = self._piece(S, slice(None), b) + self.exit_cost(x, t, b)
+        return b, np.where(S["lo"] <= t, cost, np.inf)
 
-    def _base_grids(self, ts):
-        """Per-row candidate grids on [0, t]: uniform + control breakpoints."""
-        inner = np.asarray([s for s in self.A.times[1:-1]], dtype=float)
-        nb = COARSE_N + len(inner)
-        base = np.empty((len(ts), nb))
-        for r, t in enumerate(ts):
-            pts = np.linspace(0.0, t, COARSE_N)
-            cut = inner[inner < t]
-            grid = np.unique(np.concatenate([pts, cut])) if len(cut) else pts
-            base[r, : len(grid)] = grid
-            base[r, len(grid) :] = t  # pad with duplicates of t
-        return base
+    def dwell_batch(self, xs, ts):
+        """min over 0 <= a <= b <= t of the dwell-path cost, shaped (Nr, Nx).
 
-    def dwell_batch(self, xs, ts, need_candidates=False):
-        """min over 0 <= a <= b <= t of Phi(a) + Psi(b) for every (t, x) pair.
-
-        Returns arrays shaped (Nr, Nx); all rows share the x axis.
+        All rows share the x axis. Rows go in blocks that keep the
+        node-by-segment arrays small.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        nr, nx = len(ts), len(xs)
-        base = self._base_grids(ts)  # (Nr, NB)
-        nb = base.shape[1]
-        phi = self._phi_on(base)
-        M = np.minimum.accumulate(phi, axis=1)
-        am = np.zeros((nr, nb), dtype=int)
-        rows = np.arange(nr)
-        for j in range(1, nb):  # prefix argmin, first index on ties
-            prev = am[:, j - 1]
-            better = phi[:, j] < phi[rows, prev]
-            am[:, j] = np.where(better, j, prev)
-        a_of = np.take_along_axis(base, am, axis=1)
-
-        psi = self._psi_on(xs[None, :, None], ts[:, None, None], base[:, None, :])
-        d = psi + M[:, None, :]
-
-        # per-x extra candidate: onset of the flat exit leg
-        onset = np.where(
-            xs[None, :] > 0,
-            ts[:, None] - xs[None, :] / self.model.right.dh0,
-            np.where(xs[None, :] < 0, ts[:, None] - xs[None, :] / self.model.left.dhr, ts[:, None]),
-        )
-        b_e = np.clip(onset, 0.0, ts[:, None])
-        idx_e = np.empty((nr, nx), dtype=int)
-        for r in range(nr):
-            idx_e[r] = np.clip(np.searchsorted(base[r], b_e[r], side="right") - 1, 0, nb - 1)
-        d_e = self._psi_on(xs[None, :], ts[:, None], b_e) + np.take_along_axis(M, idx_e, axis=1)
-        a_e = np.take_along_axis(a_of, idx_e, axis=1)
-
-        # seeds: best prefix-paired candidate per tercile, plus the best
-        # degenerate a = b candidate per half (kinked crossing paths live on
-        # the diagonal, where the grid prefix-argmin can mispair a with b)
-        d_diag = psi + phi[:, None, :]
-        seeds_a = np.empty((nr, nx, SEED_COUNT))
-        seeds_b = np.empty((nr, nx, SEED_COUNT))
-        seeds_v = np.full((nr, nx, SEED_COUNT), np.inf)
-        frac = base / np.maximum(ts[:, None], 1e-300)
-        base_b = np.broadcast_to(base[:, None, :], d.shape)
-        for s in range(PREFIX_SEEDS):
-            lo_f, hi_f = s / PREFIX_SEEDS, (s + 1) / PREFIX_SEEDS
-            sel = (frac >= lo_f) & ((frac <= hi_f) | (s == PREFIX_SEEDS - 1))
-            dd = np.where(sel[:, None, :], d, np.inf)
-            j = np.argmin(dd, axis=2)
-            seeds_v[:, :, s] = np.take_along_axis(dd, j[:, :, None], axis=2)[:, :, 0]
-            seeds_b[:, :, s] = np.take_along_axis(base_b, j[:, :, None], axis=2)[:, :, 0]
-            seeds_a[:, :, s] = np.take_along_axis(
-                np.broadcast_to(a_of[:, None, :], d.shape), j[:, :, None], axis=2
-            )[:, :, 0]
-        for s in range(DIAG_SEEDS):
-            lo_f, hi_f = s / DIAG_SEEDS, (s + 1) / DIAG_SEEDS
-            sel = (frac >= lo_f) & ((frac <= hi_f) | (s == DIAG_SEEDS - 1))
-            dd = np.where(sel[:, None, :], d_diag, np.inf)
-            j = np.argmin(dd, axis=2)
-            k = PREFIX_SEEDS + s
-            seeds_v[:, :, k] = np.take_along_axis(dd, j[:, :, None], axis=2)[:, :, 0]
-            seeds_b[:, :, k] = np.take_along_axis(base_b, j[:, :, None], axis=2)[:, :, 0]
-            seeds_a[:, :, k] = seeds_b[:, :, k]
-        e_slot = np.clip((b_e / np.maximum(ts[:, None], 1e-300)) * PREFIX_SEEDS,
-                         0, PREFIX_SEEDS - 1).astype(int)
-        for s in range(PREFIX_SEEDS):
-            mask = (e_slot == s) & (d_e < seeds_v[:, :, s])
-            seeds_v[:, :, s] = np.where(mask, d_e, seeds_v[:, :, s])
-            seeds_b[:, :, s] = np.where(mask, b_e, seeds_b[:, :, s])
-            seeds_a[:, :, s] = np.where(mask, a_e, seeds_a[:, :, s])
-        bad = ~np.isfinite(seeds_v)
-        seeds_v = np.where(bad, np.broadcast_to(d.min(axis=2)[:, :, None], seeds_v.shape), seeds_v)
-        seeds_a = np.where(bad, 0.0, seeds_a)
-        seeds_b = np.where(bad, 0.0, seeds_b)
-
-        # joint local refinement around every seed
-        offs = np.linspace(-1.0, 1.0, REFINE_POINTS)
-        h = (ts / (COARSE_N - 1))[:, None, None, None]
-        t_clip = ts[:, None, None, None]
-        x_b = xs[None, :, None, None, None]
-        t_b = ts[:, None, None, None, None]
-        for _ in range(REFINE_ROUNDS):
-            a_c = np.clip(seeds_a[..., None] + h * offs, 0.0, t_clip)
-            b_c = np.clip(seeds_b[..., None] + h * offs, 0.0, t_clip)
-            phi_c = self._phi_on(a_c)[..., :, None]
-            psi_c = self._psi_on(x_b, t_b, b_c[..., None, :])
-            tot = np.where(a_c[..., :, None] <= b_c[..., None, :], phi_c + psi_c, np.inf)
-            flat = tot.reshape(nr, nx, SEED_COUNT, -1)
-            j = np.argmin(flat, axis=3)
-            vnew = np.take_along_axis(flat, j[..., None], axis=3)[..., 0]
-            anew = np.take_along_axis(a_c, (j // REFINE_POINTS)[..., None], axis=3)[..., 0]
-            bnew = np.take_along_axis(b_c, (j % REFINE_POINTS)[..., None], axis=3)[..., 0]
-            better = vnew < seeds_v
-            seeds_v = np.where(better, vnew, seeds_v)
-            seeds_a = np.where(better, anew, seeds_a)
-            seeds_b = np.where(better, bnew, seeds_b)
-            h = h * REFINE_SHRINK
-        pick = np.argmin(seeds_v, axis=2)
-        take = lambda arr: np.take_along_axis(arr, pick[..., None], axis=2)[..., 0]
-        out = dict(value=take(seeds_v), a=take(seeds_a), b=take(seeds_b))
-        if need_candidates:
-            out.update(base=base, phi=phi, prefix_min=M, prefix_arg=a_of, d=d, d_extra=d_e, b_extra=b_e)
+        out = np.empty((len(ts), len(xs)))
+        step = max(1, _BLOCK // (len(xs) * len(self._seg["lo"])))
+        for r in range(0, len(ts), step):
+            _, cost = self._stay_ends(xs[None, :, None], ts[r : r + step, None, None])
+            out[r : r + step] = cost.min(axis=2)
         return out
 
     # ---- values ----------------------------------------------------------------
 
-    def value_rows(self, xs, ts):
-        """u^A on the product grid xs x ts, shape (Nx, Nr); ts > 0."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        f1, _ = self.straight_value(xs[None, :], ts[:, None])
-        dw = self.dwell_batch(xs, ts)
-        return np.minimum(f1, dw["value"]).T
-
     def value(self, x: float, t: float):
         """u^A(x, t) along with an achieving descriptor."""
         self._check_time(t)
-        xs = np.array([float(x)])
-        f1, y1 = self.straight_value(xs, t, need_y=True)
-        dw = self.dwell_batch(xs, np.array([t]))
-        vd = float(dw["value"][0, 0])
-        if vd < float(f1[0]):
-            a, b = float(dw["a"][0, 0]), float(dw["b"][0, 0])
-            a, y = self._dwell_start(a)
-            best = TrajectoryDescriptor(float(x), float(t), "dwell", y, vd, a, b)
-        else:
-            best = TrajectoryDescriptor(float(x), float(t), "straight", float(y1[0]), float(f1[0]))
-        return min(float(f1[0]), vd), best
+        x, t = float(x), float(t)
+        f1, y1 = (float(v[0]) for v in self.straight_value(np.array([x]), t, need_y=True))
+        b, cost = (v[0] for v in self._stay_ends(np.array([[x]]), t))
+        j = int(np.argmin(cost))
+        vd, b = float(cost[j]), float(b[j])
+        if vd >= f1:
+            return f1, TrajectoryDescriptor(x, t, "straight", y1, f1)
+        a, y, _ = (float(v[0]) for v in self._dwell_start(np.fmin(self._seg["a"][[j]], b)))
+        return vd, TrajectoryDescriptor(x, t, "dwell", y, vd, a, b)
 
-    def _dwell_start(self, a: float):
-        """First-leg start point; degenerate hovers at the junction snap to a = 0."""
-        if a <= 0.0:
-            return 0.0, 0.0
-        g, y = self.approach_cost(np.array([a]), need_y=True)
-        y = float(y[0])
-        if abs(y) <= 1e-12:
-            return 0.0, 0.0
-        return a, y
+    def _dwell_start(self, a):
+        """Dwell starts a, first-leg starts y and approach costs G(a); a dwell that
+        is entered from y = 0 hovers at the junction and snaps to a = 0."""
+        g, y = self.approach_cost(a, need_y=True)
+        snap = (a <= 0.0) | (np.abs(y) <= 1e-12)
+        return np.where(snap, 0.0, a), np.where(snap, 0.0, y), np.where(snap, 0.0, g)
 
     def _check_time(self, t: float):
         if t <= 0.0:
@@ -380,96 +373,83 @@ class Evaluator:
     def trajectory_row(self, xs, t: float, select: str):
         """Per-x descriptors under the documented tie rule.
 
-        Among candidates within the tie band the dwell end b is maximized
-        first; MostAtZero then minimizes the dwell start a and prefers
-        dwelling over a tied straight line, LeastAtZero maximizes a and
-        prefers a tied straight line.
+        Among paths within the tie band the dwell end b is maximized first;
+        MostAtZero then minimizes the dwell start a and prefers dwelling over
+        a tied straight line, LeastAtZero maximizes a and prefers a tied
+        straight line. The b-edge is the furthest end of the band over the
+        trace segments, the a-edge the extreme end of {G + I <= budget} over
+        the pieces of G + I.
         """
         if select not in (MOST_AT_ZERO, LEAST_AT_ZERO):
             raise SolverError(f"unknown selector {select!r}")
         self._check_time(t)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        nx = len(xs)
         f1, y1 = self.straight_value(xs, t, need_y=True)
-        dw = self.dwell_batch(xs, np.array([t]), need_candidates=True)
-        vd = dw["value"][0]
+        b, cost = self._stay_ends(xs[:, None], t)
+        vd = cost.min(axis=1)
         v = np.minimum(f1, vd)
-        tie = TIE_SCALE * (1.0 + np.abs(v))
-        thresh = v + tie
-        dwell_in = vd <= thresh
-        straight_in = f1 <= thresh
-        use_dwell = dwell_in if select == MOST_AT_ZERO else ~straight_in
+        thresh = v + TIE_SCALE * (1.0 + np.abs(v))
+        most = select == MOST_AT_ZERO
+        use_dwell = vd <= thresh if most else f1 > thresh
 
-        base = dw["base"][0]
-        phi = dw["phi"][0]
-        M = dw["prefix_min"][0]
-        d = dw["d"][0]  # (Nx, NB)
+        S, P = self._seg, self._phi
+        end = np.minimum(S["hi"], t) + np.zeros_like(b)
+        end[(xs[:, None] != 0) & (end >= t)] = np.nextafter(t, -np.inf)  # exits take time
+        edges = _edges(lambda i, j, z: (S["lo"][j] <= z)
+                       & (self._piece(S, j, z) + self.exit_cost(xs[i], t, z) <= thresh[i]),
+                       b, end, -np.inf)
+        j, b_sel = np.argmax(edges, axis=1), np.max(edges, axis=1)
+        b_sel = np.where(np.isfinite(b_sel), b_sel, t)  # no dwell path in the band
+        psi = self.exit_cost(xs, t, b_sel) - self.A.cumulative(b_sel)
+        hi = np.minimum(P["hi"], b_sel[:, None])
+        ends = _edges(lambda i, j, z: (P["lo"][j] <= z) & (z <= b_sel[i])
+                      & (self._piece(P, j, z) <= thresh[i] - psi[i]),
+                      np.clip(P["arg"], P["lo"], hi), P["lo"] + 0.0 * hi if most else hi,
+                      np.inf if most else -np.inf)
+        a_sel = ends.min(axis=1) if most else ends.max(axis=1)
+        a_fb = np.fmin(S["a"][j], b_sel)  # the start of the segment's own path
+        a_sel, y, g = self._dwell_start(np.where(np.isfinite(a_sel), a_sel, a_fb))
+        cost_sel = g + self.A.cumulative(a_sel) + psi
+        return [TrajectoryDescriptor(float(x), t, "dwell", float(y[i]), float(cost_sel[i]),
+                                     float(a_sel[i]), float(b_sel[i])) if use_dwell[i] else
+                TrajectoryDescriptor(float(x), t, "straight", float(y1[i]), float(f1[i]))
+                for i, x in enumerate(xs)], v
 
-        feas = d <= thresh[:, None]
-        b_grid = np.where(feas, base[None, :], -np.inf).max(axis=1)
-        b_ex = np.where(dw["d_extra"][0] <= thresh, dw["b_extra"][0], -np.inf)
-        b_sel = np.maximum(np.maximum(b_grid, b_ex), np.where(dwell_in, dw["b"][0], -np.inf))
-        b_sel = np.clip(b_sel, 0.0, t)
 
-        # expand b upward to the edge of the tie plateau
-        lo = b_sel.copy()
-        hi = np.full(nx, t)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            idx = np.clip(np.searchsorted(base, mid, side="right") - 1, 0, len(base) - 1)
-            ok = self._psi_on(xs, t, mid) + M[idx] <= thresh
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        b_sel = np.maximum(b_sel, lo)
+def _bisect(ok, good, bad):
+    """The good-side end of the bracket [good, bad] around the switch of ok.
 
-        psi_sel = self._psi_on(xs, t, b_sel)
-        budget = thresh - psi_sel
-        a_sel = self._select_a_row(base, phi, b_sel, budget, dw["a"][0], select)
-        cost = self._phi_on(a_sel) + psi_sel
+    ok holds at good, fails at bad and switches once between them. The
+    bracket halves until it is one ulp of its starting magnitude wide.
+    """
+    good, bad = np.array(good, dtype=float), np.array(bad, dtype=float)
+    res = np.spacing(np.maximum(np.abs(good), np.abs(bad)))
+    while True:
+        live = np.abs(bad - good) > res
+        if not live.any():
+            return good
+        mid = 0.5 * (good + bad)
+        hit = ok(mid)
+        good = np.where(live & hit, mid, good)
+        bad = np.where(live & ~hit, mid, bad)
 
-        out = []
-        for i in range(nx):
-            if use_dwell[i]:
-                a, y = self._dwell_start(float(a_sel[i]))
-                out.append(
-                    TrajectoryDescriptor(
-                        float(xs[i]), t, "dwell", y, float(cost[i]), a, float(b_sel[i])
-                    )
-                )
-            else:
-                out.append(
-                    TrajectoryDescriptor(float(xs[i]), t, "straight", float(y1[i]), float(f1[i]))
-                )
-        return out, v
 
-    def _select_a_row(self, base, phi, b_sel, budget, a_fallback, select):
-        """Vectorized pick of the dwell start on the candidate grid + edge polish."""
-        nb = len(base)
-        nx = len(b_sel)
-        feas = (base[None, :] <= b_sel[:, None]) & (phi[None, :] <= budget[:, None])
-        any_feas = feas.any(axis=1)
-        if select == MOST_AT_ZERO:
-            j = np.argmax(feas, axis=1)  # first feasible index
-            lo = np.where(j > 0, base[np.maximum(j - 1, 0)], 0.0)
-            hi = base[j]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                ok = self._phi_on(mid) <= budget
-                hi = np.where(ok, mid, hi)
-                lo = np.where(ok, lo, mid)
-            a = hi
-        else:
-            j = nb - 1 - np.argmax(feas[:, ::-1], axis=1)  # last feasible index
-            lo = base[j]
-            nxt = base[np.minimum(j + 1, nb - 1)]
-            hi = np.minimum(np.where(j + 1 < nb, nxt, b_sel), b_sel)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                ok = self._phi_on(mid) <= budget
-                lo = np.where(ok, mid, lo)
-                hi = np.where(ok, hi, mid)
-            a = lo
-        return np.where(any_feas, a, np.minimum(a_fallback, b_sel))
+def _edges(ok, good, end, fill):
+    """Per (node, piece): the end of {ok} reaching toward end on a convex piece.
+
+    ok(i, j, z) tests point z of piece j for node i. Where ok holds at end
+    that is the edge; where it holds only at good (the piece minimizer) the
+    edge is bisected between them; elsewhere it is fill.
+    """
+    i, j = np.indices(good.shape)
+    at_end = ok(i, j, end)
+    at_good = ok(i, j, good)
+    edge = np.where(at_end, end, np.where(at_good, good, fill))
+    inner = at_good & ~at_end
+    if inner.any():
+        ii, jj = i[inner], j[inner]
+        edge[inner] = _bisect(lambda z: ok(ii, jj, z), good[inner], end[inner])
+    return edge
 
 
 # ---- module-level operations -------------------------------------------------
@@ -485,7 +465,9 @@ def _grid_block(ev: Evaluator, xs, ts_block):
     out = np.empty((len(xs), len(ts_block)))
     pos = ts_block > 0
     if np.any(pos):
-        out[:, pos] = ev.value_rows(xs, ts_block[pos])
+        ts = ts_block[pos]
+        f1, _ = ev.straight_value(xs[None, :], ts[:, None])
+        out[:, pos] = np.minimum(f1, ev.dwell_batch(xs, ts)).T
     if np.any(~pos):
         out[:, ~pos] = np.asarray(ev.u0.eval(xs), dtype=float)[:, None]
     return out
@@ -644,13 +626,7 @@ def junction_trace(field: ValueField):
 
 def junction_values(model, u0, A, ts):
     """u^A(0, t) for each requested time (direct evaluation, no extrapolation)."""
-    ev = Evaluator(model, u0, A)
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros(len(ts))
-    pos = ts > 0
-    if np.any(pos):
-        out[pos] = ev.value_rows(np.array([0.0]), ts[pos])[0]
-    return out
+    return _grid_block(Evaluator(model, u0, A), np.array([0.0]), np.asarray(ts, dtype=float))[0]
 
 
 def gradient_audit(field: ValueField, model: JunctionModel, tol_factor: float = 3.0):

@@ -1,5 +1,6 @@
 import json
 import os
+import tomllib
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def solve_config(nx=41, nt=13, tmax=2.0):
 class TestTomlRoundTrip:
     def test_canonical_round_trips(self):
         cfg = canonical_config()
-        assert _toml.parse(_toml.dump(cfg)) == cfg
+        assert tomllib.loads(_toml.dump(cfg)) == cfg
 
     def test_mixed_types(self):
         cfg = dict(
@@ -40,15 +41,36 @@ class TestTomlRoundTrip:
             b=dict(nested=dict(v=1)),
             top=7,
         )
-        assert _toml.parse(_toml.dump(cfg)) == cfg
+        assert tomllib.loads(_toml.dump(cfg)) == cfg
 
-    def test_comments_and_errors(self):
-        parsed = _toml.parse('# header\n[a]\nk = 1 # trailing\n')
-        assert parsed == dict(a=dict(k=1))
-        with pytest.raises(_toml.ConfigSyntaxError):
-            _toml.parse("[a\nk=1")
-        with pytest.raises(_toml.ConfigSyntaxError):
-            _toml.parse("just words")
+    @pytest.mark.parametrize("text", ["[a\nk=1", "just words", "[a]\nk = 1 2\n"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.toml"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize("bad", ['"x"', "2.5", "true"])
+    def test_bad_workers_exits_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "exp.toml"
+        path.write_text(f"[run]\nworkers = {bad}\n")
+        rc = main(["reproduce-prop511", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "config error: config entry [run.workers]" in capsys.readouterr().err
+
+    def test_stdout_prints_plain_floats(self, tmp_path, capsys):
+        cfg = dict(
+            optimizer=dict(method="bangbang", k_max=1, budget=60, horizon=6.0),
+            mesh=dict(xmin=0.08, xmax=0.2, nx=21, tmin=0.9, tmax=5.1, nt=81),
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["reproduce-prop511", "--config", path, "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "with switches [" in out
+        assert "np.float64(" not in out
 
 
 class TestSolve:

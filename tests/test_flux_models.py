@@ -136,6 +136,27 @@ class TestTabulated:
             Hamiltonian(R=1.0, kind="tabulated", samples=tuple(zip(p, h)))
 
 
+class TestBranchInverse:
+    @pytest.mark.parametrize("H", [
+        Hamiltonian(R=1.0),
+        Hamiltonian(R=2.0, kappa=0.5),
+        Hamiltonian(R=1.0, kind="tabulated", samples=tuple(
+            (p, -0.3 * p**3 + 0.7 * p**2 + p if -1.0 < p < 0.0 else 0.0)
+            for p in np.round(np.linspace(-1.0, 0.0, 11), 12))),
+    ], ids=["quadratic", "asymmetric", "tabulated"])
+    def test_inverts_each_branch(self, H):
+        h = np.linspace(H.h_min, 0.0, 2001)
+        for branch in (1, -1):
+            p = H.branch_inverse(h, branch)
+            assert np.abs(H.value(p) - h).max() <= 1e-15
+            assert np.all(branch * (p - H.p_hat) >= 0.0)
+        assert H.branch_inverse(0.0, 1) == pytest.approx(0.0, abs=1e-15)
+        assert H.branch_inverse(0.0, -1) == pytest.approx(-H.R, abs=1e-15)
+        # levels outside [h_min, 0] clip to the vertex and the ends
+        assert H.branch_inverse(H.h_min - 1.0, 1) == H.p_hat
+        assert H.branch_inverse(1.0, -1) == pytest.approx(-H.R, abs=1e-15)
+
+
 class TestJunctionModel:
     def test_a0_is_max_of_minima(self, quad):
         other = Hamiltonian(R=1.0, kappa=0.5)

@@ -5,7 +5,9 @@ from junctionflow import (
     LEAST_AT_ZERO,
     MOST_AT_ZERO,
     Control,
+    Hamiltonian,
     InitialData,
+    JunctionModel,
     Mesh,
     SolverError,
     brute_force_value,
@@ -18,7 +20,7 @@ from junctionflow import (
     value_grid,
     weak_star_square_wave,
 )
-from junctionflow.hj_junction import Evaluator, brute_force_field
+from junctionflow.hj_junction import TIE_SCALE, Evaluator, brute_force_field
 
 from conftest import H_OF_P, P_SLOPE, T_HORIZON, random_control
 
@@ -282,4 +284,69 @@ class TestGradientAudit:
         mesh = Mesh.regular(-2.0, 2.0, 81, T_HORIZON, 81)
         for A in (switching, blocked):
             rep = gradient_audit(value_grid(model, u0, A, mesh), model)
+            assert rep["ok"], rep
+
+
+# ---- the exact evaluator beyond the symmetric single-slope case ------------------
+
+TAB_P = np.round(np.linspace(-1.0, 0.0, 11), 12)
+TAB_H = np.where((TAB_P > -1.0) & (TAB_P < 0.0), -0.3 * TAB_P**3 + 0.7 * TAB_P**2 + TAB_P, 0.0)
+
+
+def asym_case():
+    model = JunctionModel(Hamiltonian(R=1.0, kappa=1.0), Hamiltonian(R=2.0, kappa=0.5))
+    u0 = InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -1.4), capacities=(1.0, 2.0))
+    return model, u0
+
+
+def tab_case():
+    H = Hamiltonian(R=1.0, kind="tabulated", samples=tuple(zip(TAB_P, TAB_H)))
+    u0 = InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -0.9), capacities=(1.0, 1.0))
+    return JunctionModel(H, H, equal_minima=True), u0
+
+
+def scan_cost(ev, x, t, n=2001):
+    """Cheapest path cost over a dense (a, b) grid holding the control's switches.
+
+    Every grid path is a real path, so the result bounds the value from above.
+    """
+    g = np.unique(np.concatenate([np.linspace(0.0, t, n), [s for s in ev.A.times if 0.0 < s < t]]))
+    prefix = np.minimum.accumulate(ev.approach_cost(g)[0] + ev.A.cumulative(g))
+    dwell = prefix - ev.A.cumulative(g) + ev.exit_cost(x, t, g)
+    return min(float(dwell.min()), float(ev.straight_value(np.array([x]), t)[0][0]))
+
+
+class TestExactEvaluator:
+    def test_f2_node_reaches_the_infimum(self, model, u0, functional_mesh):
+        # the seeded grid search missed this node by 2.26e-4
+        A = Control((0.0, 1.2, 2.0, 3.1, T_HORIZON), (-0.05, 0.0, -0.2, -0.1))
+        f = value_grid(model, u0, A, functional_mesh)
+        i, j = 22, 93
+        x, t = float(f.xs[i]), float(f.ts[j])
+        assert (x, t) == pytest.approx((0.146, 3.34125), abs=1e-12)
+        assert f.u[i, j] <= 0.28767061
+        assert f.u[i, j] <= scan_cost(Evaluator(model, u0, A), x, t, n=6001) + 1e-12
+
+    @pytest.mark.parametrize("case", [asym_case, tab_case], ids=["asymq", "tabulated"])
+    def test_random_controls(self, case):
+        model, u0 = case()
+        rng = np.random.default_rng(404)
+        mesh = Mesh.regular(-2.0, 2.0, 41, T_HORIZON, 41)
+        for _ in range(4):
+            A = random_control(rng, model.A0, cells=int(rng.integers(3, 7)))
+            ev = Evaluator(model, u0, A)
+            for _ in range(12):
+                x = 0.0 if rng.random() < 0.15 else float(rng.uniform(-2.0, 2.0))
+                t = float(rng.uniform(0.1, T_HORIZON))
+                v, _ = ev.value(x, t)
+                assert v <= scan_cost(ev, x, t) + 1e-12
+                for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+                    d = optimal_trajectory(model, u0, A, x, t, sel)
+                    assert d.recompute_cost(model, u0, A) == pytest.approx(d.cost, abs=1e-10)
+                    assert abs(d.cost - v) <= TIE_SCALE * (1.0 + abs(v)) + 1e-12
+            frac = rng.uniform(0.0, 1.0, len(A.values))
+            raised = Control(A.times, tuple(np.asarray(A.values) * frac))
+            f = value_grid(model, u0, A, mesh)
+            assert np.max(value_grid(model, u0, raised, mesh).u - f.u) <= 1e-9
+            rep = gradient_audit(f, model)
             assert rep["ok"], rep
