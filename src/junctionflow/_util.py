@@ -1,31 +1,14 @@
-"""Small shared helpers: order-preserving parallel map and JSON hygiene."""
+"""Small shared helpers: JSON hygiene and an unused order-preserving map."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 
 
-def default_workers() -> int:
-    env = os.environ.get("JUNCTIONFLOW_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def parallel_starmap(fn, arg_tuples, workers: int):
-    """Apply fn over argument tuples, results in input order.
-
-    Falls back to a serial loop for one worker or tiny inputs; results are
-    identical either way because each call is pure and reassembly is by index.
-    """
-    if workers <= 1 or len(arg_tuples) < 2:
-        return [fn(*args) for args in arg_tuples]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(fn, *args) for args in arg_tuples]
-        return [f.result() for f in futures]
+# No caller: kept only because the benchmark's tracer wraps it by name at install.
+def parallel_starmap(fn, arg_tuples):
+    """Apply fn over argument tuples, results in input order, in this process."""
+    return [fn(*args) for args in arg_tuples]
 
 
 def reject_non_finite(obj, path="$"):

@@ -165,7 +165,6 @@ def cross_check(
     faces: np.ndarray,
     times: np.ndarray,
     cfl: float = 0.9,
-    workers: int = 1,
 ):
     """Compare -d/dx of the variational field against the Godunov densities.
 
@@ -178,7 +177,7 @@ def cross_check(
     rho0 = (u0_faces[:-1] - u0_faces[1:]) / np.diff(faces)
     dens = solve_cl(model, rho0, faces, A, times, cfl=cfl)
     mesh = Mesh(faces, np.asarray(times, dtype=float))
-    field = value_grid(model, u0, A, mesh, workers=workers)
+    field = value_grid(model, u0, A, mesh)
     rho_hj = density_from_value_field(field)
     dxs = np.diff(faces)[:, None]
     num = np.sum(np.abs(rho_hj - dens.rho) * dxs, axis=0)

@@ -9,7 +9,10 @@ Commands (exit codes 0 ok / 1 audit failure / 2 config error):
   crosscheck         crosscheck.json, rho_cl.csv, rho_hj.csv
   reproduce-prop511  canonical box-flux experiment: conditions, three control
                      costs, bang-bang optimization, optimality audit,
-                     report.json (byte-identical for any worker count)
+                     report.json
+
+Every command runs in one process. --workers N and [run] workers are still
+accepted and validated (a positive integer), but change nothing.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import json
 import os
 import sys
 import tomllib
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from . import _toml
-from ._util import default_workers, reject_non_finite
+from ._util import reject_non_finite
 from .cl_oracle import cross_check, density_from_value_field, make_grid
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel
@@ -36,11 +40,13 @@ from .hj_junction import (
     value_grid,
 )
 from .optimality import check_optimality, component_report
-from .optimizer import optimize_bangbang, optimize_relaxed, pattern_extract
+from .optimizer import MIN_BUDGET, optimize_bangbang, optimize_relaxed, pattern_extract
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_CONFIG = 2
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_MISSING = object()
 
 
 class ConfigError(ValueError):
@@ -63,12 +69,10 @@ class _Builder:
         self.problems.append(msg)
 
     def need(self, path: str, kind=None):
-        node = self.cfg
-        for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
-                self.fail(f"missing config entry [{path}]")
-                return None
-            node = node[part]
+        node = self.get(path, _MISSING)
+        if node is _MISSING:
+            self.fail(f"missing config entry [{path}]")
+            return None
         if kind is not None and not isinstance(node, kind):
             self.fail(f"config entry [{path}] has the wrong type")
             return None
@@ -81,6 +85,18 @@ class _Builder:
                 return default
             node = node[part]
         return node
+
+    def entry(self, path: str, default, kind, minimum=None):
+        """An optional entry of the given kind (a float entry takes an integer,
+        no entry takes a bool), at least minimum when one is given."""
+        value = self.get(path, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            self.fail(f"config entry [{path}] must be {_KINDS[kind]}, got {value!r}")
+            return default
+        if minimum is not None and value < minimum:
+            self.fail(f"config entry [{path}] must be at least {minimum}, got {value!r}")
+            return default
+        return float(value) if kind is float else value
 
     def hamiltonian(self, side: str) -> Optional[Hamiltonian]:
         block = self.need(f"model.{side}", dict)
@@ -179,16 +195,73 @@ class _Builder:
                 self.fail("[mesh] does not cover the weight support")
         return CostSpec(weight, linear_coeff=float(block.get("linear_coeff", 0.0)))
 
-    def run_options(self, out_dir, workers):
-        """Output directory and worker count: the flags, else the [run] entries."""
-        out_dir = out_dir or self.get("run.out_dir", "out")
-        if not isinstance(out_dir, str):
-            self.fail("config entry [run.out_dir] must be a string")
-        if workers is None:
-            workers = self.get("run.workers", default_workers())
-            if isinstance(workers, bool) or not isinstance(workers, int):
-                self.fail(f"config entry [run.workers] must be an integer, got {workers!r}")
-        return out_dir, workers
+    def optimizer(self, horizon):
+        """The [optimizer] entries; the horizon defaults to the given one."""
+        if self.need("optimizer", dict) is None:
+            return None
+        opt = SimpleNamespace(
+            method=self.entry("optimizer.method", "bangbang", str),
+            horizon=self.entry("optimizer.horizon", horizon, float),
+            budget=self.entry("optimizer.budget", 260, int, MIN_BUDGET),
+            k_max=self.entry("optimizer.k_max", 2, int, 1),
+            m_cells=self.entry("optimizer.m_cells", 8, int, 1),
+        )
+        if opt.method not in ("bangbang", "relaxed"):
+            self.fail(f"[optimizer] unknown method {opt.method!r}")
+        return opt
+
+    def crosscheck(self, ctrl):
+        """The [crosscheck] cell faces, snapshot times, CFL number and tolerance."""
+        if self.need("crosscheck", dict) is None:
+            return None
+        cc = SimpleNamespace(
+            cells=self.entry("crosscheck.cells", 400, int, 1),
+            slices=self.entry("crosscheck.slices", 13, int, 1),
+            cfl=self.entry("crosscheck.cfl", 0.9, float),
+            l1_tol=self.entry("crosscheck.l1_tol", 0.05, float),
+        )
+        if not 0.0 < cc.cfl <= 1.0:
+            self.fail(f"config entry [crosscheck.cfl] must lie in (0, 1], got {cc.cfl!r}")
+        try:
+            cc.faces = make_grid(self.entry("crosscheck.xmin", -8.0, float),
+                                 self.entry("crosscheck.xmax", 8.0, float), cc.cells)
+        except ValueError as exc:
+            self.fail(f"[crosscheck] {exc}")
+        if ctrl is not None:
+            cc.times = np.linspace(0.0, ctrl.horizon, cc.slices)
+        return cc
+
+    def inputs(self, *parts, horizon=None):
+        """The model, the datum and the named parts of a command's inputs, or
+        a ConfigError with every problem found.
+
+        parts are among "control", "mesh", "trace" (the mesh has an x = 0
+        column), "spec" (the weight on the mesh), "optimizer" (its horizon
+        defaults to horizon, else to the mesh's last time) and "crosscheck".
+        The mesh must stay within the horizon.
+        """
+        model = self.model()
+        got = SimpleNamespace(model=model, u0=self.initial_data(model), opt=None, cc=None)
+        got.ctrl = self.control(model) if "control" in parts else None
+        got.mesh = self.mesh() if "mesh" in parts else None
+        if "trace" in parts and got.mesh is not None and not np.any(np.abs(got.mesh.xs) <= 1e-12):
+            self.fail("[mesh] needs an x = 0 column for the junction trace")
+        got.spec = self.spec(got.mesh) if "spec" in parts else None
+        if "optimizer" in parts:
+            got.opt = self.optimizer(horizon or (got.mesh.ts[-1] if got.mesh is not None else 0.0))
+        if "crosscheck" in parts:
+            got.cc = self.crosscheck(got.ctrl)
+        T = got.ctrl.horizon if got.ctrl is not None else getattr(got.opt, "horizon", None)
+        if T is not None and got.mesh is not None and got.mesh.ts[-1] > T + 1e-12:
+            self.fail("[mesh] tmax exceeds the control horizon")
+        self.done()
+        return got
+
+    def run_options(self, out_dir):
+        """The output directory: the flag, else [run.out_dir]. [run.workers]
+        is only validated."""
+        self.entry("run.workers", 1, int, 1)
+        return out_dir or self.entry("run.out_dir", "out", str)
 
     def done(self):
         if self.problems:
@@ -213,25 +286,12 @@ def _write_density_csv(path, field):
                 fh.write(f"{x:.17g},{t:.17g},{rho[i, j]:.17g}\n")
 
 
-def _horizon_check(b: _Builder, ctrl, mesh):
-    if ctrl is not None and mesh is not None and mesh.ts[-1] > ctrl.horizon + 1e-12:
-        b.fail("[mesh] tmax exceeds the control horizon")
-
-
 # ---- commands ---------------------------------------------------------------
 
 
-def cmd_solve(cfg, out_dir, workers):
-    b = _Builder(cfg)
-    model = b.model()
-    u0 = b.initial_data(model)
-    ctrl = b.control(model)
-    mesh = b.mesh()
-    _horizon_check(b, ctrl, mesh)
-    if mesh is not None and not np.any(np.abs(mesh.xs) <= 1e-12):
-        b.fail("[mesh] needs an x = 0 column for the junction trace")
-    b.done()
-    field = value_grid(model, u0, ctrl, mesh, workers=workers)
+def cmd_solve(cfg, out_dir):
+    inp = _Builder(cfg).inputs("control", "mesh", "trace")
+    field = value_grid(inp.model, inp.u0, inp.ctrl, inp.mesh)
     field.write_csv(os.path.join(out_dir, "u.csv"))
     _write_density_csv(os.path.join(out_dir, "rho_hj.csv"), field)
     trace = junction_trace(field)
@@ -239,55 +299,34 @@ def cmd_solve(cfg, out_dir, workers):
         fh.write("t,u_left,u_right\n")
         for row in trace:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    audit = gradient_audit(field, model)
+    audit = gradient_audit(field, inp.model)
     summary = dict(
         command="solve",
-        model=model.ident(),
-        control=ctrl.ident(),
+        model=inp.model.ident(),
+        control=inp.ctrl.ident(),
         gradient_audit=audit,
-        nx=len(mesh.xs),
-        nt=len(mesh.ts),
+        nx=len(inp.mesh.xs),
+        nt=len(inp.mesh.ts),
     )
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return EXIT_OK if audit["ok"] else EXIT_AUDIT
 
 
-def cmd_cost(cfg, out_dir, workers):
-    b = _Builder(cfg)
-    model = b.model()
-    u0 = b.initial_data(model)
-    ctrl = b.control(model)
-    mesh = b.mesh()
-    spec = b.spec(mesh)
-    _horizon_check(b, ctrl, mesh)
-    b.done()
-    rep = cost_report(model, u0, spec, ctrl, mesh, workers=workers)
+def cmd_cost(cfg, out_dir):
+    inp = _Builder(cfg).inputs("control", "mesh", "spec")
+    rep = cost_report(inp.model, inp.u0, inp.spec, inp.ctrl, inp.mesh)
     _write_json(os.path.join(out_dir, "cost_report.json"), rep)
     return EXIT_OK
 
 
-def cmd_optimize(cfg, out_dir, workers):
-    b = _Builder(cfg)
-    model = b.model()
-    u0 = b.initial_data(model)
-    mesh = b.mesh()
-    spec = b.spec(mesh)
-    opt = b.need("optimizer", dict) or {}
-    method = opt.get("method", "bangbang")
-    horizon = float(opt.get("horizon", mesh.ts[-1] if mesh is not None else 0.0))
-    if method not in ("bangbang", "relaxed"):
-        b.fail(f"[optimizer] unknown method {method!r}")
-    b.done()
-    budget = int(opt.get("budget", 260))
-    if method == "bangbang":
-        res = optimize_bangbang(model, u0, spec, horizon, int(opt.get("k_max", 2)),
-                                budget, mesh, workers=workers)
-    else:
-        res = optimize_relaxed(model, u0, spec, horizon, int(opt.get("m_cells", 8)),
-                               budget, mesh, workers=workers)
+def cmd_optimize(cfg, out_dir):
+    inp = _Builder(cfg).inputs("mesh", "spec", "optimizer")
+    opt = inp.opt
+    search, size = ((optimize_bangbang, opt.k_max) if opt.method == "bangbang"
+                    else (optimize_relaxed, opt.m_cells))
+    res = search(inp.model, inp.u0, inp.spec, opt.horizon, size, opt.budget, inp.mesh)
     out = res.as_dict()
-    pat = pattern_extract(res, model.A0)
-    out["pattern"] = pat.as_dict()
+    out["pattern"] = pattern_extract(res, inp.model.A0).as_dict()
     _write_json(os.path.join(out_dir, "result.json"), out)
     with open(os.path.join(out_dir, "history.csv"), "w") as fh:
         fh.write("evals,best_cost\n")
@@ -296,46 +335,26 @@ def cmd_optimize(cfg, out_dir, workers):
     return EXIT_OK
 
 
-def cmd_audit(cfg, out_dir, workers):
-    b = _Builder(cfg)
-    model = b.model()
-    u0 = b.initial_data(model)
-    ctrl = b.control(model)
-    mesh = b.mesh()
-    spec = b.spec(mesh)
-    _horizon_check(b, ctrl, mesh)
-    b.done()
-    audit = check_optimality(model, u0, ctrl, spec, mesh, workers=workers)
-    report = component_report(model, u0, ctrl, mesh, spec=spec, workers=workers)
+def cmd_audit(cfg, out_dir):
+    inp = _Builder(cfg).inputs("control", "mesh", "spec")
+    audit = check_optimality(inp.model, inp.u0, inp.ctrl, inp.spec, inp.mesh)
+    report = component_report(inp.model, inp.u0, inp.ctrl, inp.mesh, spec=inp.spec)
     _write_json(os.path.join(out_dir, "audit.json"), audit.as_dict())
     _write_json(os.path.join(out_dir, "components.json"), report.as_dict())
     return EXIT_OK if audit.ok else EXIT_AUDIT
 
 
-def cmd_crosscheck(cfg, out_dir, workers):
-    b = _Builder(cfg)
-    model = b.model()
-    u0 = b.initial_data(model)
-    ctrl = b.control(model)
-    cc = b.need("crosscheck", dict) or {}
-    b.done()
-    try:
-        faces = make_grid(float(cc.get("xmin", -8.0)), float(cc.get("xmax", 8.0)),
-                          int(cc.get("cells", 400)))
-    except ValueError as exc:
-        raise ConfigError([f"[crosscheck] {exc}"])
-    slices = int(cc.get("slices", 13))
-    times = np.linspace(0.0, ctrl.horizon, slices)
-    rep = cross_check(model, u0, ctrl, faces, times, cfl=float(cc.get("cfl", 0.9)),
-                      workers=workers)
-    tol = float(cc.get("l1_tol", 0.05))
+def cmd_crosscheck(cfg, out_dir):
+    inp = _Builder(cfg).inputs("control", "crosscheck")
+    cc = inp.cc
+    rep = cross_check(inp.model, inp.u0, inp.ctrl, cc.faces, cc.times, cfl=cc.cfl)
     rep["density"].write_csv(os.path.join(out_dir, "rho_cl.csv"))
     out = dict(
         l1_density_error=rep["l1_density_error"],
         per_slice=[float(v) for v in rep["per_slice"]],
         mass_balance_error=rep["mass_balance_error"],
-        tolerance=tol,
-        ok=rep["l1_density_error"] <= tol,
+        tolerance=cc.l1_tol,
+        ok=rep["l1_density_error"] <= cc.l1_tol,
     )
     _write_json(os.path.join(out_dir, "crosscheck.json"), out)
     _write_density_csv(os.path.join(out_dir, "rho_hj.csv"), rep["field"])
@@ -389,18 +408,14 @@ def verify_box_conditions(model, p: float, box: BoxWeight):
     return [dict(name=n, lhs=float(l), rhs=float(r), ok=bool(ok)) for n, l, r, ok in conds]
 
 
-def cmd_reproduce_prop511(cfg, out_dir, workers):
+def cmd_reproduce_prop511(cfg, out_dir):
     base = canonical_config()
     if cfg:
         for key in ("functional", "mesh", "optimizer", "initial_data", "model", "crosscheck"):
             if key in cfg:
                 base[key] = cfg[key]
-    b = _Builder(base)
-    model = b.model()
-    u0 = b.initial_data(model)
-    mesh = b.mesh()
-    spec = b.spec(mesh)
-    b.done()
+    inp = _Builder(base).inputs("mesh", "spec", "optimizer", horizon=6.0)
+    model, u0, mesh, spec, opt = inp.model, inp.u0, inp.mesh, inp.spec, inp.opt
     if len(u0.slopes) != 1:
         raise ConfigError(["reproduction requires a single-slope datum"])
     p = u0.slopes[0]
@@ -414,8 +429,7 @@ def cmd_reproduce_prop511(cfg, out_dir, workers):
         bad = [c["name"] for c in conds if not c["ok"]]
         raise ConfigError([f"box condition violated: {n}" for n in bad])
 
-    opt_cfg = base["optimizer"]
-    T = float(opt_cfg.get("horizon", 6.0))
+    T = opt.horizon
     t2 = box.t2
     controls = {
         "free_flow": Control((0.0, T), (model.A0,)),
@@ -424,15 +438,13 @@ def cmd_reproduce_prop511(cfg, out_dir, workers):
     }
     costs = {}
     for name, ctrl in controls.items():
-        costs[name] = cost_report(model, u0, spec, ctrl, mesh, workers=workers)["J"]
+        costs[name] = cost_report(model, u0, spec, ctrl, mesh)["J"]
         print(f"J({name}) = {costs[name]:.12g}")
 
-    res = optimize_bangbang(model, u0, spec, T, int(opt_cfg.get("k_max", 2)),
-                            int(opt_cfg.get("budget", 260)), mesh, workers=workers)
-    switches = [float(s) for s in res.control.times[1:-1]]
-    print(f"optimizer: J = {res.cost:.12g} with switches {switches}")
-    audit = check_optimality(model, u0, res.control, spec, mesh, workers=workers)
-    report = component_report(model, u0, res.control, mesh, spec=spec, workers=workers)
+    res = optimize_bangbang(model, u0, spec, T, opt.k_max, opt.budget, mesh)
+    print(f"optimizer: J = {res.cost:.12g} with switches {list(res.control.times[1:-1])}")
+    audit = check_optimality(model, u0, res.control, spec, mesh)
+    report = component_report(model, u0, res.control, mesh, spec=spec)
     pat = pattern_extract(res, model.A0)
 
     margin_free = costs["free_flow"] - costs["switch_at_t2"]
@@ -479,6 +491,13 @@ COMMANDS = {
 }
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="junctionflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -486,7 +505,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="TOML experiment config")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=_worker_count,
+                        help="accepted for existing callers; every command runs in one process")
     args = parser.parse_args(argv)
 
     cfg = {}
@@ -503,10 +523,10 @@ def main(argv=None) -> int:
 
     try:
         b = _Builder(cfg)
-        out_dir, workers = b.run_options(args.out, args.workers)
+        out_dir = b.run_options(args.out)
         b.done()
         os.makedirs(out_dir, exist_ok=True)
-        return COMMANDS[args.command](cfg, out_dir, workers)
+        return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         for p in exc.problems:
             print(f"config error: {p}", file=sys.stderr)

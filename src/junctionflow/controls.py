@@ -45,8 +45,8 @@ class Control:
         keep = np.concatenate([[True], np.abs(np.diff(values)) > MERGE_TOL])
         values = values[keep]
         times = np.concatenate([times[:-1][keep], times[-1:]])
-        object.__setattr__(self, "times", tuple(times))
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "values", tuple(values.tolist()))
         cum = np.concatenate([[0.0], np.cumsum(values * np.diff(times))])
         object.__setattr__(self, "_cum", cum)
 

@@ -174,14 +174,14 @@ def cost_from_field(spec: CostSpec, field: ValueField, A: Control) -> float:
     return field_term(spec, field) + lin
 
 
-def cost(model, u0, spec: CostSpec, A: Control, mesh: Mesh, workers: int = 1) -> float:
+def cost(model, u0, spec: CostSpec, A: Control, mesh: Mesh) -> float:
     """J(A): quadrature of phi u^A over the mesh plus the exact linear term."""
-    field = value_grid(model, u0, A, mesh, workers=workers)
+    field = value_grid(model, u0, A, mesh)
     return cost_from_field(spec, field, A)
 
 
-def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh, workers: int = 1):
-    field = value_grid(model, u0, A, mesh, workers=workers)
+def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh):
+    field = value_grid(model, u0, A, mesh)
     jf = field_term(spec, field)
     jl = spec.linear_coeff * integrate(A, 0.0, A.horizon) if spec.linear_coeff else 0.0
     return dict(J=jf + jl, J_field_term=jf, J_linear_term=jl,
@@ -190,8 +190,7 @@ def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh, workers: int 
                           tmin=float(mesh.ts[0]), tmax=float(mesh.ts[-1])))
 
 
-def cost_weighted_density(model, u0, xi_values: np.ndarray, A: Control, mesh: Mesh,
-                          workers: int = 1) -> float:
+def cost_weighted_density(model, u0, xi_values: np.ndarray, A: Control, mesh: Mesh) -> float:
     """Density-weighted cost via -integral(xi_x u^A); xi sampled on the mesh.
 
     Centered differences for xi_x in the interior, one-sided at the mesh
@@ -206,5 +205,5 @@ def cost_weighted_density(model, u0, xi_values: np.ndarray, A: Control, mesh: Me
     phi[0, :] = -(xi[1, :] - xi[0, :]) / (xs[1] - xs[0])
     phi[-1, :] = -(xi[-1, :] - xi[-2, :]) / (xs[-1] - xs[-2])
     spec = CostSpec(SampledWeight(mesh.xs, mesh.ts, phi))
-    field = value_grid(model, u0, A, mesh, workers=workers)
+    field = value_grid(model, u0, A, mesh)
     return field_term(spec, field)

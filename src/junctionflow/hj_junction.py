@@ -41,6 +41,7 @@ LEAST_AT_ZERO = "LeastAtZero"
 TIE_SCALE = 1e-8
 CONTROL_RANGE_TOL = 1e-9
 _BLOCK = 1 << 18  # node-by-segment elements per block of rows in dwell_batch
+_SELECT_BLOCK = 1 << 14  # node-by-piece elements per block of nodes in trajectory_field
 
 
 class SolverError(ValueError):
@@ -362,30 +363,32 @@ class Evaluator:
         snap = (a <= 0.0) | (np.abs(y) <= 1e-12)
         return np.where(snap, 0.0, a), np.where(snap, 0.0, y), np.where(snap, 0.0, g)
 
-    def _check_time(self, t: float):
-        if t <= 0.0:
-            raise SolverError(f"t must be positive, got {t}")
-        if t > self.A.horizon + 1e-12:
-            raise SolverError(f"t = {t} beyond the control horizon {self.A.horizon}")
+    def _check_time(self, t):
+        if np.min(t) <= 0.0:
+            raise SolverError(f"t must be positive, got {np.min(t)}")
+        if np.max(t) > self.A.horizon + 1e-12:
+            raise SolverError(f"t = {np.max(t)} beyond the control horizon {self.A.horizon}")
 
     # ---- trajectory selection ----------------------------------------------------
 
-    def trajectory_row(self, xs, t: float, select: str):
-        """Per-x descriptors under the documented tie rule.
+    def selection(self, x, t, select: str):
+        """The selected path into each node (x[i], t[i]) under the documented tie rule.
 
         Among paths within the tie band the dwell end b is maximized first;
         MostAtZero then minimizes the dwell start a and prefers dwelling over
         a tied straight line, LeastAtZero maximizes a and prefers a tied
         straight line. The b-edge is the furthest end of the band over the
         trace segments, the a-edge the extreme end of {G + I <= budget} over
-        the pieces of G + I.
+        the pieces of G + I. Returns per-node arrays (is_dwell, a, b, value),
+        a and b NaN on straight paths, then the selected path's first-leg
+        start y and cost.
         """
         if select not in (MOST_AT_ZERO, LEAST_AT_ZERO):
             raise SolverError(f"unknown selector {select!r}")
+        x, t = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, t))
         self._check_time(t)
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        f1, y1 = self.straight_value(xs, t, need_y=True)
-        b, cost = self._stay_ends(xs[:, None], t)
+        f1, y1 = self.straight_value(x, t, need_y=True)
+        b, cost = self._stay_ends(x[:, None], t[:, None])
         vd = cost.min(axis=1)
         v = np.minimum(f1, vd)
         thresh = v + TIE_SCALE * (1.0 + np.abs(v))
@@ -393,14 +396,15 @@ class Evaluator:
         use_dwell = vd <= thresh if most else f1 > thresh
 
         S, P = self._seg, self._phi
-        end = np.minimum(S["hi"], t) + np.zeros_like(b)
-        end[(xs[:, None] != 0) & (end >= t)] = np.nextafter(t, -np.inf)  # exits take time
+        end = np.minimum(S["hi"], t[:, None]) + np.zeros_like(b)
+        end = np.where((x[:, None] != 0) & (end >= t[:, None]),  # exits take time
+                       np.nextafter(t, -np.inf)[:, None], end)
         edges = _edges(lambda i, j, z: (S["lo"][j] <= z)
-                       & (self._piece(S, j, z) + self.exit_cost(xs[i], t, z) <= thresh[i]),
+                       & (self._piece(S, j, z) + self.exit_cost(x[i], t[i], z) <= thresh[i]),
                        b, end, -np.inf)
         j, b_sel = np.argmax(edges, axis=1), np.max(edges, axis=1)
         b_sel = np.where(np.isfinite(b_sel), b_sel, t)  # no dwell path in the band
-        psi = self.exit_cost(xs, t, b_sel) - self.A.cumulative(b_sel)
+        psi = self.exit_cost(x, t, b_sel) - self.A.cumulative(b_sel)
         hi = np.minimum(P["hi"], b_sel[:, None])
         ends = _edges(lambda i, j, z: (P["lo"][j] <= z) & (z <= b_sel[i])
                       & (self._piece(P, j, z) <= thresh[i] - psi[i]),
@@ -410,10 +414,8 @@ class Evaluator:
         a_fb = np.fmin(S["a"][j], b_sel)  # the start of the segment's own path
         a_sel, y, g = self._dwell_start(np.where(np.isfinite(a_sel), a_sel, a_fb))
         cost_sel = g + self.A.cumulative(a_sel) + psi
-        return [TrajectoryDescriptor(float(x), t, "dwell", float(y[i]), float(cost_sel[i]),
-                                     float(a_sel[i]), float(b_sel[i])) if use_dwell[i] else
-                TrajectoryDescriptor(float(x), t, "straight", float(y1[i]), float(f1[i]))
-                for i, x in enumerate(xs)], v
+        return (use_dwell, np.where(use_dwell, a_sel, np.nan), np.where(use_dwell, b_sel, np.nan),
+                v, np.where(use_dwell, y, y1), np.where(use_dwell, cost_sel, f1))
 
 
 def _bisect(ok, good, bad):
@@ -473,67 +475,48 @@ def _grid_block(ev: Evaluator, xs, ts_block):
     return out
 
 
-def value_grid(model, u0, A, mesh: Mesh, workers: int = 1) -> ValueField:
-    """u^A on the mesh; deterministic for any worker count."""
-    ev = Evaluator(model, u0, A)
-    ts = mesh.ts
-    if len(ts) and ts[-1] > A.horizon + 1e-12:
+def _check_mesh(mesh: Mesh, A: Control):
+    if mesh.ts[-1] > A.horizon + 1e-12:
         raise SolverError("mesh extends beyond the control horizon")
-    if len(ts) and ts[0] < 0:
+    if mesh.ts[0] < 0:
         raise SolverError("mesh times must be nonnegative")
-    blocks = _split_blocks(len(ts), workers)
-    if len(blocks) <= 1:
-        u = _grid_block(ev, mesh.xs, ts)
-    else:
-        from ._util import parallel_starmap
-
-        parts = parallel_starmap(
-            _grid_block, [(ev, mesh.xs, ts[lo:hi]) for lo, hi in blocks], workers
-        )
-        u = np.concatenate(parts, axis=1)
-    return ValueField(mesh.xs, ts, u, control_id=A.ident(), model_id=model.ident())
 
 
-def _split_blocks(n, workers):
-    if workers <= 1 or n < 2 * workers:
-        return [(0, n)]
-    edges = np.linspace(0, n, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def value_grid(model, u0, A, mesh: Mesh) -> ValueField:
+    """u^A on the mesh."""
+    ev = Evaluator(model, u0, A)
+    _check_mesh(mesh, A)
+    u = _grid_block(ev, mesh.xs, mesh.ts)
+    return ValueField(mesh.xs, mesh.ts, u, control_id=A.ident(), model_id=model.ident())
 
 
 def optimal_trajectory(model, u0, A, x, t, select: str) -> TrajectoryDescriptor:
     """Best descriptor under the MostAtZero / LeastAtZero tie rule."""
+    x, t = float(x), float(t)
+    dwells, a, b, _, y, cost = (v[0] for v in Evaluator(model, u0, A).selection(x, t, select))
+    if dwells:
+        return TrajectoryDescriptor(x, t, "dwell", float(y), float(cost), float(a), float(b))
+    return TrajectoryDescriptor(x, t, "straight", float(y), float(cost))
+
+
+def trajectory_field(model, u0, A, mesh: Mesh, select: str):
+    """Descriptor data for every mesh node: (is_dwell, a, b, value) arrays.
+
+    The nodes go in blocks that keep the node-by-piece arrays small; a
+    node's result does not depend on its block.
+    """
     ev = Evaluator(model, u0, A)
-    descs, _ = ev.trajectory_row(np.array([float(x)]), float(t), select)
-    return descs[0]
-
-
-def trajectory_field(model, u0, A, mesh: Mesh, select: str, workers: int = 1):
-    """Descriptor data for every mesh node: (is_dwell, a, b, value) arrays."""
-    ev = Evaluator(model, u0, A)
-    args = [(ev, mesh.xs, float(t), select) for t in mesh.ts]
-    if workers <= 1 or len(args) < 4:
-        rows = [_traj_row(*a) for a in args]
-    else:
-        from ._util import parallel_starmap
-
-        rows = parallel_starmap(_traj_row, args, workers)
-    is_dwell = np.stack([r[0] for r in rows], axis=1)
-    a = np.stack([r[1] for r in rows], axis=1)
-    b = np.stack([r[2] for r in rows], axis=1)
-    val = np.stack([r[3] for r in rows], axis=1)
-    return dict(is_dwell=is_dwell, a=a, b=b, value=val)
-
-
-def _traj_row(ev, xs, t, select):
-    if t == 0.0:
-        z = np.zeros(len(xs))
-        return z.astype(bool), z + np.nan, z + np.nan, np.asarray(ev.u0.eval(xs), dtype=float)
-    descs, v = ev.trajectory_row(xs, t, select)
-    is_dwell = np.array([d.dwells for d in descs])
-    a = np.array([d.a if d.dwells else np.nan for d in descs])
-    b = np.array([d.b if d.dwells else np.nan for d in descs])
-    return is_dwell, a, b, v
+    _check_mesh(mesh, A)
+    X, T = (g.ravel() for g in np.meshgrid(mesh.xs, mesh.ts, indexing="ij"))
+    out = dict(is_dwell=np.zeros(X.size, dtype=bool), a=np.full(X.size, np.nan),
+               b=np.full(X.size, np.nan), value=np.asarray(u0.eval(X), dtype=float))
+    live = np.flatnonzero(T > 0)  # t = 0 holds the datum
+    step = max(1, _SELECT_BLOCK // max(len(ev._seg["lo"]), len(ev._phi["lo"])))
+    for lo in range(0, len(live), step):
+        k = live[lo : lo + step]
+        for key, v in zip(out, ev.selection(X[k], T[k], select)):
+            out[key][k] = v
+    return {key: v.reshape(len(mesh.xs), len(mesh.ts)) for key, v in out.items()}
 
 
 def _dp_side_step(H: Hamiltonian, nodes, V, targets, dt):

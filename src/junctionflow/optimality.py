@@ -25,10 +25,10 @@ from .functionals import BoxWeight, CostSpec, _trapezoid_weights
 from .hj_junction import (
     LEAST_AT_ZERO,
     MOST_AT_ZERO,
-    Evaluator,
     Mesh,
     SolverError,
     junction_values,
+    optimal_trajectory,
     trajectory_field,
     value_grid,
 )
@@ -96,10 +96,10 @@ def _indicator_integral(phi_vals, wx, wt, ts, tfield, s):
 
 
 def dwell_measure(model, u0, A, spec: CostSpec, s: float, select: str, mesh: Mesh,
-                  workers: int = 1, _tfield=None) -> float:
+                  _tfield=None) -> float:
     """Weighted measure of mesh points past s whose selected path dwells at s."""
     phi_vals, wx, wt = _phi_and_weights(spec, mesh)
-    tf = _tfield if _tfield is not None else trajectory_field(model, u0, A, mesh, select, workers)
+    tf = _tfield if _tfield is not None else trajectory_field(model, u0, A, mesh, select)
     return _indicator_integral(phi_vals, wx, wt, mesh.ts, tf, float(s))
 
 
@@ -113,8 +113,7 @@ def default_s_samples(T: float, A: Control, n: int = 128, nudge: float = 1e-9):
 
 
 def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
-                     spec: Optional[CostSpec] = None, workers: int = 1,
-                     _tfield_minus=None) -> ComponentReport:
+                     spec: Optional[CostSpec] = None, _tfield_minus=None) -> ComponentReport:
     """Thresholded components of the junction-value gap and box-time markers.
 
     tau is the largest dwell time of least-at-zero trajectories from grid
@@ -163,9 +162,9 @@ def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
         if len(sub_x) and len(sub_t):
             sub = Mesh(sub_x, sub_t)
             tf = _tfield_minus if _tfield_minus is not None else trajectory_field(
-                model, u0, A, sub, LEAST_AT_ZERO, workers
+                model, u0, A, sub, LEAST_AT_ZERO
             )
-            f_free = value_grid(model, u0, free, sub, workers=workers)
+            f_free = value_grid(model, u0, free, sub)
             q = tf["is_dwell"] & (tf["value"] < f_free.u - theta)
             if np.any(q):
                 cand = np.clip(tf["b"][q], None, box.t2)
@@ -176,10 +175,9 @@ def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
             a_bar, b_bar = components[-1]
             inside = ts[(ts > a_bar) & (ts < b_bar) & (gap > 3.0 * theta)]
             probe = float(inside[-1]) if len(inside) else 0.5 * (a_bar + b_bar)
-            ev = Evaluator(model, u0, A)
-            descs, _ = ev.trajectory_row(np.array([0.0]), min(probe, A.horizon), MOST_AT_ZERO)
-            if descs[0].dwells:
-                s_bar_minus = float(descs[0].a)
+            d = optimal_trajectory(model, u0, A, 0.0, min(probe, A.horizon), MOST_AT_ZERO)
+            if d.dwells:
+                s_bar_minus = d.a
     return ComponentReport(tuple(components), float(theta), tuple(tau_hat), tau, s_bar_minus)
 
 
@@ -198,7 +196,7 @@ def _cross(ts, gap, theta, i, direction):
 
 
 def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None,
-                     tol_opt: Optional[float] = None, workers: int = 1) -> OptimalityAudit:
+                     tol_opt: Optional[float] = None) -> OptimalityAudit:
     """Audit the directional-derivative conditions at the given times.
 
     tol_opt defaults to five times an internal quadrature-error estimate of
@@ -210,8 +208,8 @@ def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None,
         s_samples = default_s_samples(T, A)
     s_samples = np.asarray(s_samples, dtype=float)
     phi_vals, wx, wt = _phi_and_weights(spec, mesh)
-    tf_plus = trajectory_field(model, u0, A, mesh, MOST_AT_ZERO, workers)
-    tf_minus = trajectory_field(model, u0, A, mesh, LEAST_AT_ZERO, workers)
+    tf_plus = trajectory_field(model, u0, A, mesh, MOST_AT_ZERO)
+    tf_minus = trajectory_field(model, u0, A, mesh, LEAST_AT_ZERO)
 
     h_plus = np.array([_indicator_integral(phi_vals, wx, wt, mesh.ts, tf_plus, s) for s in s_samples])
     h_minus = np.array([_indicator_integral(phi_vals, wx, wt, mesh.ts, tf_minus, s) for s in s_samples])
@@ -220,7 +218,7 @@ def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None,
         est = _quadrature_error_estimate(phi_vals, mesh, tf_plus, s_samples)
         tol_opt = 5.0 * max(est, 1e-12)
 
-    report = component_report(model, u0, A, mesh, spec=spec, workers=workers)
+    report = component_report(model, u0, A, mesh, spec=spec)
     a_bar = report.last_component[0] if report.last_component else None
 
     tol_a = 1e-9 * (1.0 + abs(model.A0))

@@ -22,6 +22,7 @@ from .hj_junction import Mesh
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWITCH_MARGIN = 1e-6
 SNAP_REL = 1e-3
+MIN_BUDGET = 50
 
 
 class OptimizerError(ValueError):
@@ -93,12 +94,11 @@ class OptimizeResult:
 class _CostCache:
     """Caches J(A) per canonical control; counts distinct evaluations."""
 
-    def __init__(self, model, u0, spec, mesh, workers, budget):
+    def __init__(self, model, u0, spec, mesh, budget):
         self.model = model
         self.u0 = u0
         self.spec = spec
         self.mesh = mesh
-        self.workers = workers
         self.budget = budget
         self.cache = {}
         self.evals = 0
@@ -113,7 +113,7 @@ class _CostCache:
         if self.evals >= self.budget:
             self.exhausted = True
             return math.inf
-        val = cost(self.model, self.u0, self.spec, A, self.mesh, workers=self.workers)
+        val = cost(self.model, self.u0, self.spec, A, self.mesh)
         self.evals += 1
         self.cache[key] = val
         if val < self.best:
@@ -182,7 +182,7 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 20):
 
 
 def optimize_bangbang(model, u0, spec: CostSpec, T: float, k_max: int, budget: int,
-                      mesh: Mesh, workers: int = 1) -> OptimizeResult:
+                      mesh: Mesh) -> OptimizeResult:
     """Best two-level control over switch counts k = 0..k_max.
 
     Coordinate descent with golden-section per switch time, keeping the
@@ -191,9 +191,9 @@ def optimize_bangbang(model, u0, spec: CostSpec, T: float, k_max: int, budget: i
     """
     if k_max < 1:
         raise OptimizerError("k_max must be >= 1")
-    if budget < 50:
-        raise OptimizerError("budget must be >= 50 evaluations")
-    evalJ = _CostCache(model, u0, spec, mesh, workers, budget)
+    if budget < MIN_BUDGET:
+        raise OptimizerError(f"budget must be >= {MIN_BUDGET} evaluations")
+    evalJ = _CostCache(model, u0, spec, mesh, budget)
     A0 = model.A0
     box_times = []
     if isinstance(spec.weight, BoxWeight):
@@ -256,7 +256,7 @@ def optimize_bangbang(model, u0, spec: CostSpec, T: float, k_max: int, budget: i
 
 
 def optimize_relaxed(model, u0, spec: CostSpec, T: float, m_cells: int, budget: int,
-                     mesh: Mesh, workers: int = 1) -> OptimizeResult:
+                     mesh: Mesh) -> OptimizeResult:
     """Projected cellwise coordinate descent over [A0, 0]^m.
 
     Each coordinate step probes both levels first and keeps a level when it
@@ -266,9 +266,9 @@ def optimize_relaxed(model, u0, spec: CostSpec, T: float, m_cells: int, budget: 
     """
     if m_cells < 1:
         raise OptimizerError("m_cells must be >= 1")
-    if budget < 50:
-        raise OptimizerError("budget must be >= 50 evaluations")
-    evalJ = _CostCache(model, u0, spec, mesh, workers, budget)
+    if budget < MIN_BUDGET:
+        raise OptimizerError(f"budget must be >= {MIN_BUDGET} evaluations")
+    evalJ = _CostCache(model, u0, spec, mesh, budget)
     A0 = model.A0
 
     def make(vals):

@@ -77,7 +77,7 @@ def field_blocked(model, u0, blocked):
 
 def test_criterion_01_free_flow_golden(model, u0, field_free):
     t0 = time.time()
-    f = value_grid(model, u0, Control((0.0, T_HORIZON), (model.A0,)), ACCEPTANCE_MESH, workers=1)
+    f = value_grid(model, u0, Control((0.0, T_HORIZON), (model.A0,)), ACCEPTANCE_MESH)
     elapsed = time.time() - t0
     X, T = np.meshgrid(f.xs, f.ts, indexing="ij")
     err = float(np.abs(f.u - (P_SLOPE * X - H_OF_P * T)).max())

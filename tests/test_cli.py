@@ -30,6 +30,12 @@ def solve_config(nx=41, nt=13, tmax=2.0):
     )
 
 
+CANONICAL_BOX_AND_MESH = dict(
+    functional=dict(box=dict(x1=0.1, x2=0.18, t1=1.0, t2=1.5, t3=4.5, t4=5.0, delta=0.015)),
+    mesh=dict(xmin=0.08, xmax=0.2, nx=21, tmin=0.9, tmax=5.1, nt=81),
+)
+
+
 class TestTomlRoundTrip:
     def test_canonical_round_trips(self):
         cfg = canonical_config()
@@ -59,6 +65,35 @@ class TestRunOptions:
         rc = main(["reproduce-prop511", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "config error: config entry [run.workers]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,table,entry,bad", [
+        ("reproduce-prop511", "optimizer", "budget", '"x"'),
+        ("reproduce-prop511", "optimizer", "k_max", "1.5"),
+        ("reproduce-prop511", "optimizer", "budget", "10"),
+        ("reproduce-prop511", "optimizer", "horizon", "true"),
+        ("optimize", "optimizer", "m_cells", "2.5"),
+        ("crosscheck", "crosscheck", "xmin", '"a"'),
+        ("crosscheck", "crosscheck", "xmax", "true"),
+        ("crosscheck", "crosscheck", "cells", "2.5"),
+        ("crosscheck", "crosscheck", "slices", '"x"'),
+        ("crosscheck", "crosscheck", "cfl", "1.5"),
+        ("crosscheck", "crosscheck", "l1_tol", "[1]"),
+    ])
+    def test_bad_entry_exits_2_before_any_work(self, tmp_path, capsys, command, table, entry, bad):
+        base = {"reproduce-prop511": {}, "crosscheck": solve_config(),
+                "optimize": dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH)}[command]
+        path = tmp_path / "exp.toml"
+        path.write_text(_toml.dump(base) + f"\n[{table}]\n{entry} = {bad}\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"config error: config entry [{table}.{entry}]" in err
+        assert "J(" not in out
+
+    @pytest.mark.parametrize("bad", ["0", "x"])
+    def test_bad_workers_flag_exits_2(self, tmp_path, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce-prop511", "--out", str(tmp_path / "o"), "--workers", bad])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_stdout_prints_plain_floats(self, tmp_path, capsys):
         cfg = dict(
@@ -90,6 +125,7 @@ class TestSolve:
         assert np.abs(first[:, 2] - P_SLOPE * first[:, 0]).max() <= 1e-12
         summary = json.loads((out / "summary.json").read_text())
         assert summary["gradient_audit"]["ok"]
+        assert summary["control"] == "A(times=(0.0, 2.0),values=(-0.25,))"  # plain floats
 
     def test_missing_control_block_reported(self, tmp_path, capsys):
         cfg_dict = solve_config()

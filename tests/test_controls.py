@@ -22,6 +22,11 @@ class TestControl:
         with pytest.raises(ControlError):
             Control((0.0, 1.0), ())
 
+    def test_plain_floats(self):
+        A = Control(np.array([0.0, 1.5, 6.0]), np.array([0.0, -0.25]))
+        assert all(type(v) is float for v in A.times + A.values)
+        assert A.ident() == "A(times=(0.0, 1.5, 6.0),values=(0.0, -0.25))"
+
     def test_call_right_continuous(self):
         A = Control((0.0, 1.0, 2.0), (-0.2, -0.1))
         assert A(0.5) == -0.2

@@ -20,7 +20,7 @@ from junctionflow import (
     value_grid,
     weak_star_square_wave,
 )
-from junctionflow.hj_junction import TIE_SCALE, Evaluator, brute_force_field
+from junctionflow.hj_junction import _SELECT_BLOCK, TIE_SCALE, Evaluator, brute_force_field
 
 from conftest import H_OF_P, P_SLOPE, T_HORIZON, random_control
 
@@ -72,12 +72,6 @@ class TestValueGrid:
         f = value_grid(model, u0, switching, mesh)
         v, _ = value(model, u0, switching, 0.3, 2.0)
         assert f.u[0, 0] == pytest.approx(v, abs=1e-14)
-
-    def test_worker_determinism(self, model, u0, switching):
-        mesh = Mesh.regular(-1.0, 1.0, 31, T_HORIZON, 17)
-        f1 = value_grid(model, u0, switching, mesh, workers=1)
-        f2 = value_grid(model, u0, switching, mesh, workers=2)
-        assert np.array_equal(f1.u, f2.u)
 
 
 class TestMonotonicity:
@@ -350,3 +344,62 @@ class TestExactEvaluator:
             assert np.max(value_grid(model, u0, raised, mesh).u - f.u) <= 1e-9
             rep = gradient_audit(f, model)
             assert rep["ok"], rep
+
+
+# ---- the trajectory field: one selection over flat node arrays -----------------
+
+
+def canonical_case():
+    quad = Hamiltonian(R=1.0, kind="quadratic", kappa=1.0)
+    return JunctionModel(quad, quad, equal_minima=True), InitialData((), (P_SLOPE,), capacities=(1.0, 1.0))
+
+
+class TestTrajectoryField:
+    @pytest.mark.parametrize("case", [canonical_case, asym_case, tab_case],
+                             ids=["canonical", "asymq", "tabulated"])
+    def test_field_equals_pointwise_selection(self, case):
+        model, u0 = case()
+        if case is canonical_case:
+            A = Control((0.0, 1.5, T_HORIZON), (0.0, model.A0))
+        else:
+            A = random_control(np.random.default_rng(505), model.A0, cells=4)
+        mesh = Mesh(np.linspace(-1.5, 1.5, 9), np.linspace(0.3, T_HORIZON, 7))
+        u = value_grid(model, u0, A, mesh).u
+        for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+            tf = trajectory_field(model, u0, A, mesh, sel)
+            assert tf["is_dwell"].any() and not tf["is_dwell"].all()
+            assert np.array_equal(tf["value"], u)
+            for i, x in enumerate(mesh.xs):
+                for j, t in enumerate(mesh.ts):
+                    d = optimal_trajectory(model, u0, A, x, t, sel)
+                    assert tf["is_dwell"][i, j] == d.dwells
+                    if d.dwells:
+                        assert (tf["a"][i, j], tf["b"][i, j]) == (d.a, d.b)
+                    else:
+                        assert np.isnan(tf["a"][i, j]) and np.isnan(tf["b"][i, j])
+
+    def test_sub_mesh_is_a_bitwise_slice(self, model, u0, functional_mesh):
+        A = Control((0.0, 1.2, 2.0, 3.1, T_HORIZON), (-0.05, 0.0, -0.2, -0.1))
+        ev = Evaluator(model, u0, A)
+        width = max(len(ev._seg["lo"]), len(ev._phi["lo"]))
+        full = functional_mesh
+        assert full.xs.size * full.ts.size > 2 * (_SELECT_BLOCK // width)  # several blocks
+        rows, cols = slice(3, 38, 4), slice(10, 150, 9)
+        sub = Mesh(full.xs[rows], full.ts[cols])
+        for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+            whole = trajectory_field(model, u0, A, full, sel)
+            part = trajectory_field(model, u0, A, sub, sel)
+            for key in ("is_dwell", "a", "b", "value"):
+                assert np.array_equal(part[key], whole[key][rows, cols], equal_nan=True), key
+        assert np.array_equal(value_grid(model, u0, A, sub).u,
+                              value_grid(model, u0, A, full).u[rows, cols])
+
+    def test_datum_row_and_time_errors(self, model, u0, switching):
+        mesh = Mesh(np.linspace(-1.0, 1.0, 5), np.array([0.0, 1.0]))
+        tf = trajectory_field(model, u0, switching, mesh, MOST_AT_ZERO)
+        assert not tf["is_dwell"][:, 0].any() and np.isnan(tf["a"][:, 0]).all()
+        assert np.array_equal(tf["value"][:, 0], u0.eval(mesh.xs))
+        with pytest.raises(SolverError):
+            trajectory_field(model, u0, switching, Mesh(mesh.xs, np.array([1.0, 7.0])), MOST_AT_ZERO)
+        with pytest.raises(SolverError):
+            optimal_trajectory(model, u0, switching, 0.5, 0.0, MOST_AT_ZERO)
