@@ -14,10 +14,6 @@ from .flux_models import (
     JunctionModel,
     ModelError,
     flux_branches,
-    flux_eval,
-    hamiltonian_eval,
-    lagrangian,
-    u0_eval,
 )
 from .hj_junction import (
     LEAST_AT_ZERO,
@@ -28,7 +24,6 @@ from .hj_junction import (
     ValueField,
     brute_force_value,
     gradient_audit,
-    junction_trace,
     junction_values,
     optimal_trajectory,
     trajectory_field,
@@ -52,16 +47,11 @@ __all__ = [
     "brute_force_value",
     "clamp_project",
     "flux_branches",
-    "flux_eval",
     "gradient_audit",
-    "hamiltonian_eval",
     "integrate",
-    "junction_trace",
     "junction_values",
-    "lagrangian",
     "optimal_trajectory",
     "trajectory_field",
-    "u0_eval",
     "value",
     "value_grid",
     "weak_star_square_wave",

@@ -1,8 +1,10 @@
 """Experiment runner: config parsing, named commands, reproducible outputs.
 
-Commands (exit codes 0 ok / 1 audit failure / 2 config error):
+Commands (exit codes 0 ok / 1 audit failure / 2 config error, which
+includes an entry of the wrong TOML type):
 
-  solve              u.csv, rho_hj.csv, trace.csv, summary.json
+  solve              u.csv, rho_hj.csv, trace.csv (t,u: the exact u(0, t) at
+                     the mesh times), summary.json
   cost               cost_report.json
   optimize           result.json, history.csv
   audit              audit.json, components.json
@@ -29,24 +31,28 @@ import numpy as np
 
 from . import _toml
 from ._util import reject_non_finite
-from .cl_oracle import cross_check, density_from_value_field, make_grid
+from .cl_oracle import DensityField, cross_check, density_from_value_field, make_grid
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel
 from .functionals import BoxWeight, CostSpec, cost_report, make_box_weight
-from .hj_junction import (
-    Mesh,
-    gradient_audit,
-    junction_trace,
-    value_grid,
-)
-from .optimality import check_optimality, component_report
+from .hj_junction import Mesh, gradient_audit, junction_values, value_grid
+from .optimality import check_optimality
 from .optimizer import MIN_BUDGET, optimize_bangbang, optimize_relaxed, pattern_extract
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_CONFIG = 2
-_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+          list: "a list of numbers"}
 _MISSING = object()
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(_is_kind(v, float) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 class ConfigError(ValueError):
@@ -87,113 +93,112 @@ class _Builder:
         return node
 
     def entry(self, path: str, default, kind, minimum=None):
-        """An optional entry of the given kind (a float entry takes an integer,
-        no entry takes a bool), at least minimum when one is given."""
+        """An entry of the given kind (a float entry takes an integer, a list
+        entry holds numbers and comes back as a tuple of floats, only a bool
+        entry takes a bool), at least minimum when one is given. With the
+        default _MISSING the entry is required. On a problem, the default
+        comes back (None for a required entry)."""
         value = self.get(path, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        if value is _MISSING:
+            self.fail(f"missing config entry [{path}]")
+            return None
+        if not _is_kind(value, kind):
             self.fail(f"config entry [{path}] must be {_KINDS[kind]}, got {value!r}")
-            return default
+            return None if default is _MISSING else default
         if minimum is not None and value < minimum:
             self.fail(f"config entry [{path}] must be at least {minimum}, got {value!r}")
             return default
+        if kind is list:
+            return tuple(float(v) for v in value)
         return float(value) if kind is float else value
 
-    def hamiltonian(self, side: str) -> Optional[Hamiltonian]:
-        block = self.need(f"model.{side}", dict)
-        if block is None:
+    def make(self, where: str, since: int, build, *args, **kwargs):
+        """build(*args, **kwargs), or None if more than `since` problems are
+        known; a ValueError it raises is a problem of [where]."""
+        if len(self.problems) > since:
             return None
-        kind = block.get("kind", "quadratic")
         try:
-            if kind == "quadratic":
-                return Hamiltonian(R=float(block.get("R", 1.0)), kind="quadratic",
-                                   kappa=float(block.get("kappa", 1.0)))
-            if kind == "tabulated":
-                samples = block.get("samples_p"), block.get("samples_H")
-                if samples[0] is None or samples[1] is None:
-                    self.fail(f"[model.{side}] tabulated kind needs samples_p and samples_H")
-                    return None
-                pairs = tuple(zip(map(float, samples[0]), map(float, samples[1])))
-                return Hamiltonian(R=float(block.get("R", 1.0)), kind="tabulated", samples=pairs)
-            self.fail(f"[model.{side}] unknown kind {kind!r}")
+            return build(*args, **kwargs)
         except ValueError as exc:
-            self.fail(f"[model.{side}] {exc}")
-        return None
+            self.fail(f"[{where}] {exc}")
+            return None
+
+    def hamiltonian(self, side: str) -> Optional[Hamiltonian]:
+        path = f"model.{side}"
+        if self.need(path, dict) is None:
+            return None
+        n = len(self.problems)
+        kind = self.entry(f"{path}.kind", "quadratic", str)
+        R = self.entry(f"{path}.R", 1.0, float)
+        if kind == "tabulated":
+            ps = self.entry(f"{path}.samples_p", _MISSING, list)
+            hs = self.entry(f"{path}.samples_H", _MISSING, list)
+            if ps is not None and hs is not None and len(ps) != len(hs):
+                self.fail(f"[{path}] samples_p and samples_H differ in length")
+            samples = tuple(zip(ps or (), hs or ()))
+            return self.make(path, n, Hamiltonian, R=R, kind=kind, samples=samples)
+        if kind != "quadratic":
+            self.fail(f"[{path}] unknown kind {kind!r}")
+        return self.make(path, n, Hamiltonian, R=R, kappa=self.entry(f"{path}.kappa", 1.0, float))
 
     def model(self) -> Optional[JunctionModel]:
         left = self.hamiltonian("left")
         right = self.hamiltonian("right")
+        n = len(self.problems)
+        equal_minima = self.entry("model.equal_minima", False, bool)
         if left is None or right is None:
             return None
-        try:
-            return JunctionModel(left, right, equal_minima=bool(self.get("model.equal_minima", False)))
-        except ValueError as exc:
-            self.fail(f"[model] {exc}")
-            return None
+        return self.make("model", n, JunctionModel, left, right, equal_minima=equal_minima)
 
     def initial_data(self, model) -> Optional[InitialData]:
-        block = self.need("initial_data", dict)
-        if block is None or model is None:
+        if self.need("initial_data", dict) is None:
             return None
-        try:
-            return InitialData(
-                tuple(map(float, block.get("breakpoints", []))),
-                tuple(map(float, block.get("slopes", []))),
-                capacities=(model.left.R, model.right.R),
-                allow_boundary_slopes=bool(block.get("allow_boundary_slopes", False)),
-            )
-        except ValueError as exc:
-            self.fail(f"[initial_data] {exc}")
+        n = len(self.problems)
+        breakpoints = self.entry("initial_data.breakpoints", [], list)
+        slopes = self.entry("initial_data.slopes", [], list)
+        allow = self.entry("initial_data.allow_boundary_slopes", False, bool)
+        if model is None:
             return None
+        return self.make("initial_data", n, InitialData, breakpoints, slopes,
+                         capacities=(model.left.R, model.right.R), allow_boundary_slopes=allow)
 
     def control(self, model) -> Optional[Control]:
-        block = self.need("control", dict)
-        if block is None:
+        if self.need("control", dict) is None:
             return None
-        try:
-            ctrl = Control(tuple(map(float, block.get("times", []))),
-                           tuple(map(float, block.get("values", []))))
-        except ValueError as exc:
-            self.fail(f"[control] {exc}")
-            return None
-        if model is not None and not ctrl.restricted_values_ok(model.A0):
+        n = len(self.problems)
+        ctrl = self.make("control", n, Control, self.entry("control.times", [], list),
+                         self.entry("control.values", [], list))
+        if ctrl is not None and model is not None and not ctrl.restricted_values_ok(model.A0):
             self.fail(f"[control] values must lie in [{model.A0}, 0]")
             return None
         return ctrl
 
     def mesh(self) -> Optional[Mesh]:
-        block = self.need("mesh", dict)
-        if block is None:
+        if self.need("mesh", dict) is None:
             return None
-        try:
-            return Mesh.regular(
-                float(block["xmin"]), float(block["xmax"]), int(block["nx"]),
-                float(block["tmax"]), int(block["nt"]), tmin=float(block.get("tmin", 0.0)),
-            )
-        except (KeyError, ValueError) as exc:
-            self.fail(f"[mesh] {exc!r}")
-            return None
+        n = len(self.problems)
+        xmin, xmax, tmax = (self.entry(f"mesh.{k}", _MISSING, float) for k in ("xmin", "xmax", "tmax"))
+        nx, nt = (self.entry(f"mesh.{k}", _MISSING, int, 1) for k in ("nx", "nt"))
+        tmin = self.entry("mesh.tmin", 0.0, float)
+        return self.make("mesh", n, Mesh.regular, xmin, xmax, nx, tmax, nt, tmin=tmin)
 
     def spec(self, mesh) -> Optional[CostSpec]:
-        block = self.need("functional", dict)
-        if block is None:
+        if self.need("functional", dict) is None:
             return None
-        box = block.get("box")
-        if not isinstance(box, dict):
-            self.fail("missing config entry [functional.box]")
+        n = len(self.problems)
+        linear_coeff = self.entry("functional.linear_coeff", 0.0, float)
+        if self.need("functional.box", dict) is None:
             return None
-        try:
-            weight = make_box_weight(
-                float(box["x1"]), float(box["x2"]), float(box["t1"]), float(box["t2"]),
-                float(box["t3"]), float(box["t4"]), float(box["delta"]),
-            )
-        except (KeyError, ValueError) as exc:
-            self.fail(f"[functional.box] {exc!r}")
+        edges = [self.entry(f"functional.box.{k}", _MISSING, float)
+                 for k in ("x1", "x2", "t1", "t2", "t3", "t4", "delta")]
+        weight = self.make("functional.box", n, make_box_weight, *edges)
+        if weight is None:
             return None
         if mesh is not None:
             (x_lo, x_hi), (t_lo, t_hi) = weight.support()
             if x_lo < mesh.xs[0] or x_hi > mesh.xs[-1] or t_lo < mesh.ts[0] or t_hi > mesh.ts[-1]:
                 self.fail("[mesh] does not cover the weight support")
-        return CostSpec(weight, linear_coeff=float(block.get("linear_coeff", 0.0)))
+        return CostSpec(weight, linear_coeff=linear_coeff)
 
     def optimizer(self, horizon):
         """The [optimizer] entries; the horizon defaults to the given one."""
@@ -235,17 +240,15 @@ class _Builder:
         """The model, the datum and the named parts of a command's inputs, or
         a ConfigError with every problem found.
 
-        parts are among "control", "mesh", "trace" (the mesh has an x = 0
-        column), "spec" (the weight on the mesh), "optimizer" (its horizon
-        defaults to horizon, else to the mesh's last time) and "crosscheck".
+        parts are among "control", "mesh", "spec" (the weight on the mesh),
+        "optimizer" (its horizon defaults to horizon, else to the mesh's last
+        time) and "crosscheck".
         The mesh must stay within the horizon.
         """
         model = self.model()
         got = SimpleNamespace(model=model, u0=self.initial_data(model), opt=None, cc=None)
         got.ctrl = self.control(model) if "control" in parts else None
         got.mesh = self.mesh() if "mesh" in parts else None
-        if "trace" in parts and got.mesh is not None and not np.any(np.abs(got.mesh.xs) <= 1e-12):
-            self.fail("[mesh] needs an x = 0 column for the junction trace")
         got.spec = self.spec(got.mesh) if "spec" in parts else None
         if "optimizer" in parts:
             got.opt = self.optimizer(horizon or (got.mesh.ts[-1] if got.mesh is not None else 0.0))
@@ -277,28 +280,23 @@ def _write_json(path, obj):
 
 def _write_density_csv(path, field):
     """-u_x between mesh columns, as x,t,rho rows at the column midpoints."""
-    rho = density_from_value_field(field)
     mids = 0.5 * (field.xs[:-1] + field.xs[1:])
-    with open(path, "w") as fh:
-        fh.write("x,t,rho\n")
-        for j, t in enumerate(field.ts):
-            for i, x in enumerate(mids):
-                fh.write(f"{x:.17g},{t:.17g},{rho[i, j]:.17g}\n")
+    DensityField(mids, field.ts, density_from_value_field(field)).write_csv(path)
 
 
 # ---- commands ---------------------------------------------------------------
 
 
 def cmd_solve(cfg, out_dir):
-    inp = _Builder(cfg).inputs("control", "mesh", "trace")
+    inp = _Builder(cfg).inputs("control", "mesh")
     field = value_grid(inp.model, inp.u0, inp.ctrl, inp.mesh)
     field.write_csv(os.path.join(out_dir, "u.csv"))
     _write_density_csv(os.path.join(out_dir, "rho_hj.csv"), field)
-    trace = junction_trace(field)
+    trace = junction_values(inp.model, inp.u0, inp.ctrl, inp.mesh.ts)
     with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
-        fh.write("t,u_left,u_right\n")
-        for row in trace:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write("t,u\n")
+        for t, u in zip(inp.mesh.ts, trace):
+            fh.write(f"{t:.17g},{u:.17g}\n")
     audit = gradient_audit(field, inp.model)
     summary = dict(
         command="solve",
@@ -338,9 +336,8 @@ def cmd_optimize(cfg, out_dir):
 def cmd_audit(cfg, out_dir):
     inp = _Builder(cfg).inputs("control", "mesh", "spec")
     audit = check_optimality(inp.model, inp.u0, inp.ctrl, inp.spec, inp.mesh)
-    report = component_report(inp.model, inp.u0, inp.ctrl, inp.mesh, spec=inp.spec)
     _write_json(os.path.join(out_dir, "audit.json"), audit.as_dict())
-    _write_json(os.path.join(out_dir, "components.json"), report.as_dict())
+    _write_json(os.path.join(out_dir, "components.json"), audit.components.as_dict())
     return EXIT_OK if audit.ok else EXIT_AUDIT
 
 
@@ -444,7 +441,6 @@ def cmd_reproduce_prop511(cfg, out_dir):
     res = optimize_bangbang(model, u0, spec, T, opt.k_max, opt.budget, mesh)
     print(f"optimizer: J = {res.cost:.12g} with switches {list(res.control.times[1:-1])}")
     audit = check_optimality(model, u0, res.control, spec, mesh)
-    report = component_report(model, u0, res.control, mesh, spec=spec)
     pat = pattern_extract(res, model.A0)
 
     margin_free = costs["free_flow"] - costs["switch_at_t2"]
@@ -464,7 +460,7 @@ def cmd_reproduce_prop511(cfg, out_dir):
         optimizer=res.as_dict(),
         pattern=pat.as_dict(),
         audit=audit.as_dict(),
-        components=report.as_dict(),
+        components=audit.components.as_dict(),
         verdicts=verdicts,
     )
     _write_json(os.path.join(out_dir, "report.json"), out)

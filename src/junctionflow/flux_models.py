@@ -251,22 +251,6 @@ def _check_density_domain(H: Hamiltonian, rho):
     return np.clip(rho, 0.0, H.R)
 
 
-def hamiltonian_eval(H: Hamiltonian, p):
-    """H(p) on [-R, 0]; rejects arguments beyond a 1e-9 tolerance."""
-    p = _as_float_array(p)
-    if np.any(p < -H.R - DOMAIN_TOL) or np.any(p > DOMAIN_TOL):
-        raise ModelError(f"p outside [-{H.R}, 0]")
-    out = H.value(np.clip(p, -H.R, 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def flux_eval(H: Hamiltonian, rho):
-    """f(rho) = -H(-rho), the concave flux on [0, R]."""
-    rho = _check_density_domain(H, rho)
-    out = H.flux(rho)
-    return float(out) if out.ndim == 0 else out
-
-
 def flux_branches(H: Hamiltonian, rho):
     """Increasing and decreasing parts (f_plus, f_minus) of the flux at rho."""
     rho = _check_density_domain(H, rho)
@@ -275,12 +259,6 @@ def flux_branches(H: Hamiltonian, rho):
     if f_plus.ndim == 0:
         return float(f_plus), float(f_minus)
     return f_plus, f_minus
-
-
-def lagrangian(H: Hamiltonian, alpha):
-    """L(alpha) = sup_{p in [-R,0]} (alpha*p - H(p)); defined for all real alpha."""
-    out = H.lagrangian(alpha)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -417,8 +395,3 @@ class InitialData:
     def ident(self) -> str:
         return f"u0(breakpoints={self.breakpoints!r},slopes={self.slopes!r})"
 
-
-def u0_eval(u0: InitialData, y):
-    """Piecewise-linear evaluation of the initial datum, u0(0) = 0."""
-    out = u0.eval(y)
-    return float(out) if np.ndim(out) == 0 else out

@@ -169,18 +169,13 @@ def field_term(spec: CostSpec, field: ValueField) -> float:
     return float(np.einsum("i,j,ij->", wx, wt, phi_vals * field.u))
 
 
-def cost_from_field(spec: CostSpec, field: ValueField, A: Control) -> float:
-    lin = spec.linear_coeff * integrate(A, 0.0, A.horizon) if spec.linear_coeff else 0.0
-    return field_term(spec, field) + lin
-
-
 def cost(model, u0, spec: CostSpec, A: Control, mesh: Mesh) -> float:
     """J(A): quadrature of phi u^A over the mesh plus the exact linear term."""
-    field = value_grid(model, u0, A, mesh)
-    return cost_from_field(spec, field, A)
+    return cost_report(model, u0, spec, A, mesh)["J"]
 
 
 def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh):
+    """J(A) with its field and linear terms and the quadrature mesh."""
     field = value_grid(model, u0, A, mesh)
     jf = field_term(spec, field)
     jl = spec.linear_coeff * integrate(A, 0.0, A.horizon) if spec.linear_coeff else 0.0

@@ -86,9 +86,6 @@ class TrajectoryDescriptor:
     def dwells(self) -> bool:
         return self.kind == "dwell"
 
-    def dwells_at(self, s: float) -> bool:
-        return self.dwells and self.a <= s <= self.b
-
     def recompute_cost(self, model: JunctionModel, u0: InitialData, A: Control) -> float:
         """Re-assemble the path cost from its parts."""
         if self.kind == "straight":
@@ -586,25 +583,6 @@ def brute_force_value(model, u0, A, x, t, lattice=(200, 200)) -> float:
     domain = (min(0.0, x) - 1.05 * reach_l * t, max(0.0, x) + 1.05 * reach_r * t)
     nodes, _, V = brute_force_field(model, u0, A, t, lattice, domain=domain)
     return float(np.interp(float(x), nodes, V[:, -1]))
-
-
-def junction_trace(field: ValueField):
-    """(t, u(0-, t), u(0+, t)) by one-sided extrapolation from two columns."""
-    xs = field.xs
-    zero = np.where(np.abs(xs) <= 1e-12)[0]
-    if not len(zero):
-        raise SolverError("mesh has no x = 0 column")
-    i0 = int(zero[0])
-    if i0 < 2 or i0 > len(xs) - 3:
-        raise SolverError("need two mesh columns on each side of x = 0")
-
-    def extrap(i_near, i_far):
-        xn, xf = xs[i_near], xs[i_far]
-        return field.u[i_near, :] + (field.u[i_near, :] - field.u[i_far, :]) * (0.0 - xn) / (xn - xf)
-
-    left = extrap(i0 - 1, i0 - 2)
-    right = extrap(i0 + 1, i0 + 2)
-    return np.column_stack([field.ts, left, right])
 
 
 def junction_values(model, u0, A, ts):

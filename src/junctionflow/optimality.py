@@ -60,11 +60,13 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class OptimalityAudit:
-    """Per-sample verdicts of the first-order conditions."""
+    """Per-sample verdicts of the first-order conditions, and the component
+    report they were checked against (not part of as_dict)."""
 
     samples: Tuple[dict, ...]
     violations: int
     tolerances: dict
+    components: ComponentReport
 
     @property
     def ok(self) -> bool:
@@ -119,7 +121,8 @@ def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
     tau is the largest dwell time of least-at-zero trajectories from grid
     points in the positive-weight box (clipped to its time window); the
     s_bar_minus marker is the first dwell time of the most-at-zero path to
-    the last component's right endpoint.
+    the last component's right endpoint. _tfield_minus, when given, is the
+    least-at-zero trajectory field on mesh; its box nodes are read from it.
     """
     T = A.horizon
     inner = [s for s in A.times if 0.0 < s < T]
@@ -156,14 +159,15 @@ def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
     s_bar_minus = None
     if spec is not None and isinstance(spec.weight, BoxWeight):
         box = spec.weight
-        sub_x = mesh.xs[(mesh.xs > box.x1) & (mesh.xs < box.x2)]
-        sub_t = mesh.ts[(mesh.ts > box.t1) & (mesh.ts < box.t2)]
+        in_x = (mesh.xs > box.x1) & (mesh.xs < box.x2)
+        in_t = (mesh.ts > box.t1) & (mesh.ts < box.t2)
         tau = 0.0
-        if len(sub_x) and len(sub_t):
-            sub = Mesh(sub_x, sub_t)
-            tf = _tfield_minus if _tfield_minus is not None else trajectory_field(
-                model, u0, A, sub, LEAST_AT_ZERO
-            )
+        if in_x.any() and in_t.any():
+            sub = Mesh(mesh.xs[in_x], mesh.ts[in_t])
+            if _tfield_minus is None:
+                tf = trajectory_field(model, u0, A, sub, LEAST_AT_ZERO)
+            else:
+                tf = {k: v[np.ix_(in_x, in_t)] for k, v in _tfield_minus.items()}
             f_free = value_grid(model, u0, free, sub)
             q = tf["is_dwell"] & (tf["value"] < f_free.u - theta)
             if np.any(q):
@@ -218,7 +222,7 @@ def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None,
         est = _quadrature_error_estimate(phi_vals, mesh, tf_plus, s_samples)
         tol_opt = 5.0 * max(est, 1e-12)
 
-    report = component_report(model, u0, A, mesh, spec=spec)
+    report = component_report(model, u0, A, mesh, spec=spec, _tfield_minus=tf_minus)
     a_bar = report.last_component[0] if report.last_component else None
 
     tol_a = 1e-9 * (1.0 + abs(model.A0))
@@ -253,7 +257,7 @@ def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None,
             )
         )
     tolerances = dict(tol_opt=float(tol_opt), tol_a=float(tol_a), theta=report.theta)
-    return OptimalityAudit(tuple(samples), violations, tolerances)
+    return OptimalityAudit(tuple(samples), violations, tolerances, report)
 
 
 def _quadrature_error_estimate(phi_vals, mesh: Mesh, tfield, s_samples):

@@ -60,3 +60,10 @@ def random_control(rng, a0, T=T_HORIZON, cells=5, times=None):
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.05 * T, 0.95 * T, cells - 1)), [T]])
     values = rng.uniform(a0, 0.0, len(times) - 1)
     return Control(tuple(times), tuple(values))
+
+
+def asym_case():
+    """An asymmetric quadratic junction with a 4-piece datum."""
+    model = JunctionModel(Hamiltonian(R=1.0, kappa=1.0), Hamiltonian(R=2.0, kappa=0.5))
+    u0 = InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -1.4), capacities=(1.0, 2.0))
+    return model, u0

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import tomllib
@@ -5,7 +6,7 @@ import tomllib
 import numpy as np
 import pytest
 
-from junctionflow import _toml
+from junctionflow import Control, _toml, junction_values
 from junctionflow.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, canonical_config, main
 
 from conftest import H_OF_P, P_SLOPE
@@ -78,12 +79,27 @@ class TestRunOptions:
         ("crosscheck", "crosscheck", "slices", '"x"'),
         ("crosscheck", "crosscheck", "cfl", "1.5"),
         ("crosscheck", "crosscheck", "l1_tol", "[1]"),
+        ("cost", "functional", "linear_coeff", '"x"'),
+        ("cost", "model.left", "R", "[1]"),
+        ("cost", "mesh", "nx", "[41]"),
+        ("cost", "mesh", "nx", "41.7"),
+        ("cost", "initial_data", "breakpoints", "5"),
+        ("cost", "model.right", "samples_p", '3\nkind = "tabulated"'),  # sets the kind too
+        ("cost", "model", "equal_minima", '"no"'),
+        ("cost", "initial_data", "allow_boundary_slopes", '"no"'),
+        ("cost", "control", "times", '["0", "6"]'),
+        ("cost", "functional.box", "x1", "true"),
     ])
     def test_bad_entry_exits_2_before_any_work(self, tmp_path, capsys, command, table, entry, bad):
         base = {"reproduce-prop511": {}, "crosscheck": solve_config(),
-                "optimize": dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH)}[command]
+                "optimize": dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH),
+                "cost": dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH)}[command]
+        block = base = copy.deepcopy(base)
+        for part in table.split("."):
+            block = block.setdefault(part, {})
+        block.update(tomllib.loads(f"{entry} = {bad}"))
         path = tmp_path / "exp.toml"
-        path.write_text(_toml.dump(base) + f"\n[{table}]\n{entry} = {bad}\n")
+        path.write_text(_toml.dump(base))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert f"config error: config entry [{table}.{entry}]" in err
@@ -126,6 +142,25 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["gradient_audit"]["ok"]
         assert summary["control"] == "A(times=(0.0, 2.0),values=(-0.25,))"  # plain floats
+
+    def test_trace_is_the_exact_junction_value(self, tmp_path, model, u0):
+        cfg_dict = solve_config(nx=40, tmax=6.0)  # no x = 0 column
+        cfg_dict["control"] = dict(times=[0.0, 1.5, 6.0], values=[0.0, -0.25])
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, cfg_dict), "--out", str(out)]) == EXIT_OK
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert rows[0] == "t,u"
+        t, u = np.array([[float(v) for v in r.split(",")] for r in rows[1:]]).T
+        assert np.array_equal(t, np.linspace(0.0, 6.0, 13))
+        A = Control((0.0, 1.5, 6.0), (0.0, -0.25))
+        assert np.array_equal(u, junction_values(model, u0, A, t))
+
+    def test_free_flow_trace(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, solve_config()), "--out", str(out)]) == EXIT_OK
+        t, u = np.array([[float(v) for v in r.split(",")]
+                         for r in (out / "trace.csv").read_text().splitlines()[1:]]).T
+        assert np.abs(u - (-H_OF_P) * t).max() <= 1e-12
 
     def test_missing_control_block_reported(self, tmp_path, capsys):
         cfg_dict = solve_config()

@@ -9,10 +9,6 @@ from junctionflow import (
     JunctionModel,
     ModelError,
     flux_branches,
-    flux_eval,
-    hamiltonian_eval,
-    lagrangian,
-    u0_eval,
 )
 
 
@@ -24,19 +20,11 @@ def numeric_conjugate(H, alpha, n=100_000):
 
 class TestHamiltonianEval:
     def test_quadratic_interior(self, quad):
-        assert hamiltonian_eval(quad, -0.5) == pytest.approx(-0.25, abs=1e-15)
+        assert quad.value(-0.5) == pytest.approx(-0.25, abs=1e-15)
 
     def test_boundary_zeros(self, quad):
-        assert hamiltonian_eval(quad, 0.0) == 0.0
-        assert hamiltonian_eval(quad, -1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_domain_error(self, quad):
-        with pytest.raises(ModelError):
-            hamiltonian_eval(quad, 0.1)
-        with pytest.raises(ModelError):
-            hamiltonian_eval(quad, -1.1)
-        # within tolerance is clipped, not rejected
-        hamiltonian_eval(quad, 1e-10)
+        assert quad.value(0.0) == 0.0
+        assert quad.value(-1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_cached_shape(self, quad):
         assert quad.p_hat == -0.5
@@ -46,18 +34,26 @@ class TestHamiltonianEval:
 
 class TestFlux:
     def test_values(self, quad):
-        assert flux_eval(quad, 0.5) == pytest.approx(0.25)
-        assert flux_eval(quad, 0.0) == 0.0
-        assert flux_eval(quad, 0.9) == pytest.approx(0.09)
+        assert quad.flux(0.5) == pytest.approx(0.25)
+        assert quad.flux(0.0) == 0.0
+        assert quad.flux(0.9) == pytest.approx(0.09)
 
     def test_branches(self, quad):
         assert flux_branches(quad, 0.9) == pytest.approx((0.25, 0.09))
         assert flux_branches(quad, 0.5) == pytest.approx((0.25, 0.25))
         assert flux_branches(quad, 0.1) == pytest.approx((0.09, 0.25))
 
+    def test_branches_domain(self, quad):
+        with pytest.raises(ModelError):
+            flux_branches(quad, 1.1)
+        with pytest.raises(ModelError):
+            flux_branches(quad, -0.1)
+        # within tolerance is clipped, not rejected
+        assert flux_branches(quad, 1.0 + 1e-10) == (0.25, 0.0)
+
     def test_flux_is_reflected_hamiltonian(self, quad):
         rho = np.linspace(0.0, 1.0, 257)
-        assert np.abs(flux_eval(quad, rho) + quad.value(-rho)).max() <= 1e-12
+        assert np.abs(quad.flux(rho) + quad.value(-rho)).max() <= 1e-12
 
     def test_branch_monotonicity(self, quad):
         rho = np.linspace(0.0, 1.0, 129)
@@ -68,36 +64,36 @@ class TestFlux:
 
 class TestLagrangian:
     def test_examples_against_numeric_sup(self, quad):
-        assert lagrangian(quad, 0.0) == pytest.approx(0.25, abs=1e-12)
+        assert quad.lagrangian(0.0) == pytest.approx(0.25, abs=1e-12)
         for alpha, expect in [(1.0, 0.0), (-2.0, 2.0)]:
-            assert lagrangian(quad, alpha) == pytest.approx(expect, abs=1e-9)
-            assert lagrangian(quad, alpha) == pytest.approx(
+            assert quad.lagrangian(alpha) == pytest.approx(expect, abs=1e-9)
+            assert quad.lagrangian(alpha) == pytest.approx(
                 numeric_conjugate(quad, alpha), abs=1e-9
             )
 
     def test_piecewise_structure(self, quad):
-        assert lagrangian(quad, 2.0) == 0.0
-        assert lagrangian(quad, 1.0) == 0.0
-        assert lagrangian(quad, -3.0) == pytest.approx(3.0)
+        assert quad.lagrangian(2.0) == 0.0
+        assert quad.lagrangian(1.0) == 0.0
+        assert quad.lagrangian(-3.0) == pytest.approx(3.0)
 
     @given(st.floats(-4.0, 4.0))
     @settings(max_examples=60, deadline=None)
     def test_matches_numeric_sup(self, alpha):
         H = Hamiltonian(R=1.0)
-        assert lagrangian(H, alpha) == pytest.approx(numeric_conjugate(H, alpha), abs=1e-9)
+        assert H.lagrangian(alpha) == pytest.approx(numeric_conjugate(H, alpha), abs=1e-9)
 
     @given(st.floats(-1.0, 0.0), st.floats(-3.0, 3.0))
     @settings(max_examples=80, deadline=None)
     def test_fenchel_inequality(self, p, alpha):
         H = Hamiltonian(R=1.0)
-        assert alpha * p <= lagrangian(H, alpha) + hamiltonian_eval(H, p) + 1e-10
+        assert alpha * p <= H.lagrangian(alpha) + H.value(p) + 1e-10
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=80, deadline=None)
     def test_convexity_midpoint(self, a, b):
         H = Hamiltonian(R=1.0)
-        mid = lagrangian(H, 0.5 * (a + b))
-        assert mid <= 0.5 * (lagrangian(H, a) + lagrangian(H, b)) + 1e-12
+        mid = H.lagrangian(0.5 * (a + b))
+        assert mid <= 0.5 * (H.lagrangian(a) + H.lagrangian(b)) + 1e-12
 
 
 class TestTabulated:
@@ -119,7 +115,7 @@ class TestTabulated:
 
     def test_conjugate_matches_numeric(self, tab):
         for alpha in (-2.0, -0.7, 0.0, 0.4, 1.5):
-            assert lagrangian(tab, alpha) == pytest.approx(
+            assert tab.lagrangian(alpha) == pytest.approx(
                 numeric_conjugate(tab, alpha), abs=1e-6
             )
 
@@ -173,15 +169,15 @@ class TestJunctionModel:
 class TestInitialData:
     def test_linear(self):
         u = InitialData((), (-0.8,), capacities=(1.0, 1.0))
-        assert u0_eval(u, 0.5) == pytest.approx(-0.4)
-        assert u0_eval(u, 0.0) == 0.0
+        assert u.eval(0.5) == pytest.approx(-0.4)
+        assert u.eval(0.0) == 0.0
 
     def test_piecewise_accumulation(self):
         u = InitialData((-1.0,), (-0.8, -0.2), capacities=(1.0, 1.0))
         # direct sum oracle: u0(-1) = 0.2, then slope -0.8 leftwards
-        assert u0_eval(u, -1.0) == pytest.approx(0.2)
-        assert u0_eval(u, -2.0) == pytest.approx(1.0)
-        assert u0_eval(u, 0.0) == 0.0
+        assert u.eval(-1.0) == pytest.approx(0.2)
+        assert u.eval(-2.0) == pytest.approx(1.0)
+        assert u.eval(0.0) == 0.0
 
     def test_slope_bounds_enforced(self):
         with pytest.raises(ModelError):

@@ -8,7 +8,6 @@ from junctionflow.functionals import (
     FunctionalError,
     SampledWeight,
     cost,
-    cost_from_field,
     cost_weighted_density,
     field_term,
     make_box_weight,
@@ -122,7 +121,7 @@ class TestCost:
         f_lo = value_grid(model, u0, blocked, functional_mesh)
         f_hi = value_grid(model, u0, free_flow, functional_mesh)
         assert np.all(f_lo.u <= f_hi.u + 1e-12)
-        assert cost_from_field(spec, f_lo, blocked) <= cost_from_field(spec, f_hi, free_flow) + 1e-12
+        assert field_term(spec, f_lo) <= field_term(spec, f_hi) + 1e-12
 
     def test_nonnegative_weight_minimized_by_blocked(self, model, u0, box,
                                                      functional_mesh, free_flow, blocked):

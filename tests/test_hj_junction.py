@@ -12,7 +12,6 @@ from junctionflow import (
     SolverError,
     brute_force_value,
     gradient_audit,
-    junction_trace,
     junction_values,
     optimal_trajectory,
     trajectory_field,
@@ -22,7 +21,7 @@ from junctionflow import (
 )
 from junctionflow.hj_junction import _SELECT_BLOCK, TIE_SCALE, Evaluator, brute_force_field
 
-from conftest import H_OF_P, P_SLOPE, T_HORIZON, random_control
+from conftest import H_OF_P, P_SLOPE, T_HORIZON, asym_case, random_control
 
 
 class TestValue:
@@ -219,29 +218,6 @@ class TestBruteForce:
             brute_force_value(model, u0, free_flow, 0.0, 1.0, lattice=(4, 4))
 
 
-class TestJunctionTrace:
-    def test_free_flow_trace(self, model, u0, free_flow):
-        mesh = Mesh.regular(-1.0, 1.0, 41, 3.0, 13)
-        f = value_grid(model, u0, free_flow, mesh)
-        tr = junction_trace(f)
-        assert np.abs(tr[:, 1] - (-H_OF_P) * tr[:, 0]).max() <= 1e-9
-        assert np.abs(tr[:, 2] - (-H_OF_P) * tr[:, 0]).max() <= 1e-9
-        assert tr[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_traces_agree_for_continuous_field(self, model, u0, switching):
-        mesh = Mesh.regular(-1.0, 1.0, 81, T_HORIZON, 25)
-        f = value_grid(model, u0, switching, mesh)
-        tr = junction_trace(f)
-        dx = mesh.xs[1] - mesh.xs[0]
-        assert np.abs(tr[:, 1] - tr[:, 2]).max() <= 2.0 * dx * 1.0
-
-    def test_requires_zero_column(self, model, u0, free_flow):
-        mesh = Mesh.regular(-1.0, 1.0, 40, 2.0, 5)  # no x = 0 node
-        f = value_grid(model, u0, free_flow, mesh)
-        with pytest.raises(SolverError):
-            junction_trace(f)
-
-
 class TestRestartConsistency:
     def test_dynamic_programming_restart(self, model, u0, switching):
         """Restarting from a sampled slice reproduces the value to mesh error."""
@@ -285,12 +261,6 @@ class TestGradientAudit:
 
 TAB_P = np.round(np.linspace(-1.0, 0.0, 11), 12)
 TAB_H = np.where((TAB_P > -1.0) & (TAB_P < 0.0), -0.3 * TAB_P**3 + 0.7 * TAB_P**2 + TAB_P, 0.0)
-
-
-def asym_case():
-    model = JunctionModel(Hamiltonian(R=1.0, kappa=1.0), Hamiltonian(R=2.0, kappa=0.5))
-    u0 = InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -1.4), capacities=(1.0, 2.0))
-    return model, u0
 
 
 def tab_case():

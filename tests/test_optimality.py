@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from junctionflow import Control, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh
+from junctionflow import Control, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh, optimality, trajectory_field
 from junctionflow.functionals import CostSpec, SampledWeight
 from junctionflow.optimality import (
     check_optimality,
@@ -10,7 +10,7 @@ from junctionflow.optimality import (
     dwell_measure,
 )
 
-from conftest import T_HORIZON
+from conftest import T_HORIZON, asym_case, random_control
 
 
 def clipped_spec(box, mesh, sign):
@@ -77,6 +77,31 @@ class TestCheckOptimality:
         assert audit.violations == 0
         assert audit.tolerances["tol_opt"] > 0
         assert all(set(s) >= {"s", "H_plus", "H_minus", "A", "verdict"} for s in audit.samples)
+
+    def test_draws_two_fields_on_the_mesh(self, model, u0, box_spec, functional_mesh, switching,
+                                          monkeypatch):
+        calls = []
+
+        def recording(*args):  # positional only
+            calls.append(args)
+            return trajectory_field(*args)
+
+        monkeypatch.setattr(optimality, "trajectory_field", recording)
+        check_optimality(model, u0, switching, box_spec, functional_mesh, s_samples=[1.0, 2.0])
+        assert [args[4] for args in calls] == [MOST_AT_ZERO, LEAST_AT_ZERO]
+        assert all(args[3] is functional_mesh for args in calls)
+
+    @pytest.mark.parametrize("case", ["switching", "random", "asymq"])
+    def test_components_match_a_standalone_report(self, model, u0, box_spec, functional_mesh,
+                                                  switching, case):
+        if case == "asymq":
+            model, u0 = asym_case()
+            A = Control((0.0, 1.5, T_HORIZON), (0.0, model.A0))
+        else:
+            A = switching if case == "switching" else random_control(np.random.default_rng(0), model.A0)
+        audit = check_optimality(model, u0, A, box_spec, functional_mesh, s_samples=[1.0, 2.0])
+        alone = component_report(model, u0, A, functional_mesh, spec=box_spec)
+        assert audit.components.as_dict() == alone.as_dict()
 
     def test_audit_always_returns(self, model, u0, box_spec, functional_mesh):
         # a clearly suboptimal control yields violations, not an exception
