@@ -405,16 +405,25 @@ def verify_box_conditions(model, p: float, box: BoxWeight):
     return [dict(name=n, lhs=float(l), rhs=float(r), ok=bool(ok)) for n, l, r, ok in conds]
 
 
+def _merge(base: dict, over: dict):
+    """Lay over's entries on base, nested tables entry by entry."""
+    for key, value in over.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _merge(base[key], value)
+        else:
+            base[key] = value
+
+
 def cmd_reproduce_prop511(cfg, out_dir):
     base = canonical_config()
-    if cfg:
-        for key in ("functional", "mesh", "optimizer", "initial_data", "model", "crosscheck"):
-            if key in cfg:
-                base[key] = cfg[key]
+    keys = ("functional", "mesh", "optimizer", "initial_data", "model", "crosscheck")
+    _merge(base, {key: cfg[key] for key in keys if key in cfg})
     inp = _Builder(base).inputs("mesh", "spec", "optimizer", horizon=6.0)
     model, u0, mesh, spec, opt = inp.model, inp.u0, inp.mesh, inp.spec, inp.opt
     if len(u0.slopes) != 1:
         raise ConfigError(["reproduction requires a single-slope datum"])
+    if model.left != model.right:  # the box conditions read one H(p)
+        raise ConfigError(["reproduction requires equal left and right Hamiltonians"])
     p = u0.slopes[0]
     box = spec.weight
     conds = verify_box_conditions(model, p, box)

@@ -5,6 +5,8 @@ Conventions used throughout the package:
     f(0) = f(R) = 0;
   - H is convex on [-R, 0] with H(-R) = H(0) = 0 and a negative minimum
     at p_hat in (-R, 0);
+  - every H is one convex piecewise-quadratic table; the quadratic
+    kappa*p*(p+R) is its one-piece case;
   - the running cost of a path slope is the constrained conjugate
     L(alpha) = sup_{p in [-R,0]} (alpha*p - H(p)), which is 0 for
     alpha >= H'(0) and -R*alpha for alpha <= H'(-R).
@@ -13,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,24 +31,36 @@ def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _find(edges, x, scale=1.0):
+    """Piece of each x / scale among ascending inner piece edges: 0 below
+    edges[0], k from edges[k-1] on. A one-piece table has no edges and gets
+    the scalar 0, with no division and no search."""
+    return np.searchsorted(edges, x / scale, side="right") if len(edges) else 0
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Convex Hamiltonian on [-R, 0] vanishing at both endpoints.
 
-    kind "quadratic" is H(p) = kappa*p*(p+R); kind "tabulated" interpolates
-    sample pairs with a shape-preserving (convex, C^1) piecewise quadratic.
+    Both kinds are one convex piecewise-quadratic table (lo, hi, c0, c1, c2):
+    on piece j, H(p) = c0 + c1*dp + c2*dp**2 with dp = p - lo. Kind
+    "quadratic" is H(p) = kappa*p*(p+R), the one piece lo = -R, hi = 0,
+    c0 = 0, c1 = -kappa*R, c2 = kappa; kind "tabulated" interpolates sample
+    pairs with a shape-preserving (convex, C^1) piecewise quadratic. Equality
+    and hashing read only the defining entries R, kind, kappa and samples.
     """
 
     R: float
     kind: str = "quadratic"
     kappa: float = 1.0
     samples: Optional[Tuple[Tuple[float, float], ...]] = None
-    # cached at construction
-    p_hat: float = field(init=False)
-    h_min: float = field(init=False)
-    dh0: float = field(init=False)
-    dhr: float = field(init=False)
-    _table: Optional[tuple] = field(init=False, default=None, repr=False)
+    # derived from the table at construction
+    p_hat: float = field(init=False, compare=False)
+    h_min: float = field(init=False, compare=False)
+    dh0: float = field(init=False, compare=False)
+    dhr: float = field(init=False, compare=False)
+    _table: tuple = field(init=False, repr=False, compare=False)
+    _at_zero: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.R > 0:
@@ -54,16 +68,25 @@ class Hamiltonian:
         if self.kind == "quadratic":
             if not self.kappa > 0:
                 raise ModelError(f"kappa must be positive, got {self.kappa}")
-            object.__setattr__(self, "p_hat", -self.R / 2.0)
-            object.__setattr__(self, "h_min", -self.kappa * self.R**2 / 4.0)
-            object.__setattr__(self, "dh0", self.kappa * self.R)
-            object.__setattr__(self, "dhr", -self.kappa * self.R)
+            one = (-self.R, 0.0, 0.0, -self.kappa * self.R, self.kappa)
+            table = tuple(np.array([v], dtype=float) for v in one)
         elif self.kind == "tabulated":
-            self._build_table()
+            table = self._build_table()
         else:
             raise ModelError(f"unknown Hamiltonian kind {self.kind!r}")
-
-    # -- tabulated kind -------------------------------------------------
+        lo, hi, c0, c1, c2 = table
+        set_ = lambda name, v: object.__setattr__(self, name, v)
+        set_("_table", table)
+        # each piece's parabola, continued to p = 0: its slope and value there
+        set_("_at_zero", (c1 - 2.0 * c2 * lo, c0 - c1 * lo + c2 * lo * lo))
+        set_("dh0", float(self._at_zero[0][-1]))
+        set_("dhr", float(c1[0]))
+        # argmin: the root of H' on the piece whose knot slopes bracket 0
+        v = _find(c1[1:], 0.0)
+        set_("p_hat", float(lo[v] - c1[v] / (2.0 * c2[v])))
+        set_("h_min", float(self.value(self.p_hat)))
+        if not (-self.R < self.p_hat < 0 and self.h_min < 0 and self.dhr < 0 < self.dh0):
+            raise ModelError("Hamiltonian violates shape requirements")
 
     def _build_table(self):
         if self.samples is None or len(self.samples) < 4:
@@ -107,126 +130,69 @@ class Hamiltonian:
                 c0.append(v0)
                 c1.append(s0)
                 c2.append((s1 - s0) / (2.0 * width))
-        table = tuple(np.array(v) for v in (lo, hi, c0, c1, c2))
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "dh0", float(m[-1]))
-        object.__setattr__(self, "dhr", float(m[0]))
-        # argmin: root of the piecewise-linear derivative
-        p_hat = None
-        for j in range(len(table[0])):
-            a0, a1 = table[0][j], table[1][j]
-            s0 = table[3][j]
-            s1 = s0 + 2.0 * table[4][j] * (a1 - a0)
-            if s0 <= 0.0 <= s1:
-                p_hat = a0 - s0 / (2.0 * table[4][j]) if table[4][j] > 0 else a0
-                break
-        if p_hat is None or not (-self.R < p_hat < 0):
-            raise ModelError("tabulated Hamiltonian has no interior minimum")
-        object.__setattr__(self, "p_hat", float(p_hat))
-        object.__setattr__(self, "h_min", float(self._table_eval(np.array([p_hat]))[0]))
-        if not (self.h_min < 0 and self.dhr < 0 < self.dh0):
-            raise ModelError("tabulated Hamiltonian violates shape requirements")
-
-    def _table_eval(self, p):
-        lo, hi, c0, c1, c2 = self._table
-        idx = np.clip(np.searchsorted(lo, p, side="right") - 1, 0, len(lo) - 1)
-        dp = p - lo[idx]
-        return c0[idx] + c1[idx] * dp + c2[idx] * dp * dp
-
-    def _table_deriv(self, p):
-        lo, hi, c0, c1, c2 = self._table
-        idx = np.clip(np.searchsorted(lo, p, side="right") - 1, 0, len(lo) - 1)
-        return c1[idx] + 2.0 * c2[idx] * (p - lo[idx])
+        return tuple(np.array(v) for v in (lo, hi, c0, c1, c2))
 
     # -- evaluation ------------------------------------------------------
 
     def value(self, p):
+        lo, hi, c0, c1, c2 = self._table
         p = _as_float_array(p)
-        if self.kind == "quadratic":
-            return self.kappa * p * (p + self.R)
-        return self._table_eval(p)
+        j = _find(lo[1:], p)
+        dp = p - lo[j]
+        return c0[j] + (c1[j] + c2[j] * dp) * dp
 
     def deriv(self, p):
+        lo, hi, c0, c1, c2 = self._table
         p = _as_float_array(p)
-        if self.kind == "quadratic":
-            return self.kappa * (2.0 * p + self.R)
-        return self._table_deriv(p)
+        j = _find(lo[1:], p)
+        return c1[j] + 2.0 * c2[j] * (p - lo[j])
 
     def lagrangian(self, alpha):
         """Constrained conjugate sup_{p in [-R,0]} (alpha*p - H(p))."""
-        alpha = _as_float_array(alpha)
-        if self.kind == "quadratic":
-            a = np.clip(alpha, self.dhr, self.dh0)
-            mid = (a - self.dh0) ** 2 / (4.0 * self.kappa)
-            out = np.where(alpha >= self.dh0, 0.0, mid)
-            return np.where(alpha <= self.dhr, -self.R * alpha, out)
-        lo, hi, c0, c1, c2 = self._table
-        flat = alpha.reshape(-1)
-        # per sub-interval concave quadratic alpha*p - H(p): vertex or endpoints
-        best = np.maximum(flat * (-self.R), 0.0)  # endpoints p = -R, p = 0
-        for j in range(len(lo)):
-            if c2[j] <= 0:
-                continue
-            pv = np.clip(lo[j] + (flat - c1[j]) / (2.0 * c2[j]), lo[j], hi[j])
-            dp = pv - lo[j]
-            cand = flat * pv - (c0[j] + c1[j] * dp + c2[j] * dp * dp)
-            best = np.maximum(best, cand)
-        return best.reshape(alpha.shape)
+        return self.leg_cost(alpha, 1.0)
 
     def leg_cost(self, dx, dt):
         """Cost dt*L(dx/dt) of an affine leg, safe at dt = 0.
 
         A zero-duration leg is free only if it does not move; the three
-        L-branches are split on products so no division by dt occurs.
+        L-branches are split on products so no division by dt occurs. On the
+        middle branch the slope dx/dt lies in piece j (found among the knot
+        slopes c1), where L(a) = (a - s_j)**2 / (4 c2_j) - H_j(0) with s_j and
+        H_j(0) the slope and value of the piece's parabola at p = 0.
         """
         dx = _as_float_array(dx)
-        dt = _as_float_array(dt)
-        dx, dt = np.broadcast_arrays(dx, dt)
-        hi_branch = dx >= self.dh0 * dt
+        dt = _as_float_array(dt)  # not broadcast: products with dt stay at its size
         lo_branch = dx <= self.dhr * dt
-        mid = ~hi_branch & ~lo_branch
+        mid = ~(lo_branch | (dx >= self.dh0 * dt))
         out = np.where(lo_branch, -self.R * dx, 0.0)
         if np.any(mid):
-            if self.kind == "quadratic":
-                denom = np.where(mid, 4.0 * self.kappa * dt, 1.0)
-                out = np.where(mid, (dx - self.dh0 * dt) ** 2 / denom, out)
-            else:
-                denom = np.where(mid, dt, 1.0)
-                out = np.where(mid, dt * self.lagrangian(dx / denom), out)
-        bad = (dt == 0.0) & (dx != 0.0)
-        if np.any(bad):
-            out = np.where(bad, np.inf, out)
+            c1, c2 = self._table[3:]
+            s, h0 = self._at_zero
+            denom = np.where(mid, dt, 1.0)
+            j = _find(c1[1:], dx, denom)
+            out = np.where(mid, (dx - s[j] * dt) ** 2 / (4.0 * c2[j] * denom) - h0[j] * dt, out)
+        still = dt == 0.0
+        if np.any(still):
+            out = np.where(still & (dx != 0.0), np.inf, out)
         return out
 
     def slope_for_cost_slope(self, q):
         """Leg slope alpha with L'(alpha) = q, i.e. alpha = H'(q), q in (-R, 0)."""
-        q = _as_float_array(q)
-        if self.kind == "quadratic":
-            return self.kappa * (2.0 * q + self.R)
-        return self._table_deriv(np.clip(q, -self.R, 0.0))
+        return self.deriv(np.clip(q, -self.R, 0.0))
 
-    def branch_inverse(self, h, branch: int):
-        """The p with H(p) = h on one monotone branch of H, h clipped into [h_min, 0].
+    def level_speed(self, h, branch: int):
+        """|H'(p)| at the p with H(p) = h on one monotone branch of H, h clipped
+        into [h_min, 0].
 
-        branch > 0 takes p in [p_hat, 0] (leg slopes H'(p) >= 0), branch < 0
-        takes p in [-R, p_hat]. Closed form for both kinds: the tabulated H is
-        a quadratic between consecutive knots, and monotone on each branch.
+        branch > 0 takes p in [p_hat, 0], branch < 0 takes p in [-R, p_hat].
+        On piece j, H'(p)**2 = c1**2 + 4 c2 (H(p) - c0); the knot values c0
+        rise after the vertex piece and fall before it.
         """
-        h = np.clip(_as_float_array(h), self.h_min, 0.0)
-        if self.kind == "quadratic":
-            return self.p_hat + branch * np.sqrt(np.maximum(self.p_hat**2 + h / self.kappa, 0.0))
         lo, hi, c0, c1, c2 = self._table
-        j_hat = int(np.searchsorted(lo, self.p_hat, side="right")) - 1
-        if branch > 0:  # knot values c0 rise after the vertex piece
-            j = j_hat + np.searchsorted(c0[j_hat + 1 :], h, side="right")
-        else:  # and fall before it
-            j = np.searchsorted(-c0[1 : j_hat + 1], -h, side="right")
-        r, b = h - c0[j], c1[j]
-        s = branch * np.sqrt(np.maximum(b * b + 4.0 * c2[j] * r, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):  # the branch's root, cancellation-free
-            dp = np.where(branch * b >= 0, 2.0 * r / (b + s), (s - b) / (2.0 * c2[j]))
-        p = lo[j] + np.nan_to_num(dp)  # 0/0 only at a vertex knot, where dp = 0
-        return np.clip(p, self.p_hat, 0.0) if branch > 0 else np.clip(p, -self.R, self.p_hat)
+        h = np.clip(_as_float_array(h), self.h_min, 0.0)
+        v = _find(lo[1:], self.p_hat)
+        j = v + _find(c0[v + 1 :], h) if branch > 0 else _find(-c0[1 : v + 1], -h)
+        return np.sqrt(np.maximum(c1[j] * c1[j] + 4.0 * c2[j] * (h - c0[j]), 0.0))
 
     def flux(self, rho):
         return -self.value(-_as_float_array(rho))
@@ -268,7 +234,7 @@ class JunctionModel:
     left: Hamiltonian
     right: Hamiltonian
     equal_minima: bool = False
-    A0: float = field(init=False)
+    A0: float = field(init=False, compare=False)
 
     def __post_init__(self):
         a0 = max(self.left.h_min, self.right.h_min)

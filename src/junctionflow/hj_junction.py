@@ -286,10 +286,9 @@ class Evaluator:
     def _speed(self, side, h, inward):
         """|H'(p)| of a leg on the given side at flux level H(p) = h, moving toward
         the junction (inward) or away from it."""
-        L, R = self.model.left, self.model.right
         d = 1 if inward else -1
-        return np.abs(np.where(np.asarray(side) < 0, L.deriv(L.branch_inverse(h, d)),
-                               R.deriv(R.branch_inverse(h, -d))))
+        return np.where(np.asarray(side) < 0, self.model.left.level_speed(h, d),
+                        self.model.right.level_speed(h, -d))
 
     def _fan_ends(self, x, t):
         """Stay ends on the fan segments: approach and exit legs share a flux level h

@@ -124,6 +124,34 @@ class TestRunOptions:
         assert "np.float64(" not in out
 
 
+class TestReproduceProp511:
+    def test_config_overrides_entry_by_entry(self, tmp_path, capsys):
+        path = tmp_path / "exp.toml"
+        path.write_text("[optimizer]\nk_max = 1\n\n[mesh]\nnx = 21\n")
+        assert main(["reproduce-prop511", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        with open(tmp_path / "o" / "canonical.toml", "rb") as fh:
+            resolved = tomllib.load(fh)
+        expect = canonical_config()
+        expect["optimizer"]["k_max"] = 1
+        expect["mesh"]["nx"] = 21
+        assert resolved["optimizer"] == expect["optimizer"] and resolved["mesh"] == expect["mesh"]
+        assert resolved["model"] == expect["model"]
+
+    @pytest.mark.parametrize("text", [
+        "[model.right]\nkappa = 0.25\nR = 2.0\n",  # the same minimum, another H
+        "[model]\nequal_minima = false\n\n[model.left]\nkappa = 1.0\nR = 1.0\n\n"
+        "[model.right]\nkappa = 0.5\nR = 2.0\n",
+    ], ids=["equal_minima", "unequal_minima"])
+    def test_unequal_sides_exit_2_before_any_cost(self, tmp_path, capsys, text):
+        path = tmp_path / "exp.toml"
+        path.write_text(text)
+        assert main(["reproduce-prop511", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "config error: reproduction requires equal left and right Hamiltonians" in err
+        assert out == ""
+        assert not (tmp_path / "o" / "report.json").exists()
+
+
 class TestSolve:
     def test_golden_field_and_outputs(self, tmp_path):
         cfg = write_config(tmp_path, solve_config())

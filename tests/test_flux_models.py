@@ -132,25 +132,64 @@ class TestTabulated:
             Hamiltonian(R=1.0, kind="tabulated", samples=tuple(zip(p, h)))
 
 
-class TestBranchInverse:
-    @pytest.mark.parametrize("H", [
-        Hamiltonian(R=1.0),
-        Hamiltonian(R=2.0, kappa=0.5),
-        Hamiltonian(R=1.0, kind="tabulated", samples=tuple(
-            (p, -0.3 * p**3 + 0.7 * p**2 + p if -1.0 < p < 0.0 else 0.0)
-            for p in np.round(np.linspace(-1.0, 0.0, 11), 12))),
-    ], ids=["quadratic", "asymmetric", "tabulated"])
-    def test_inverts_each_branch(self, H):
-        h = np.linspace(H.h_min, 0.0, 2001)
-        for branch in (1, -1):
-            p = H.branch_inverse(h, branch)
-            assert np.abs(H.value(p) - h).max() <= 1e-15
-            assert np.all(branch * (p - H.p_hat) >= 0.0)
-        assert H.branch_inverse(0.0, 1) == pytest.approx(0.0, abs=1e-15)
-        assert H.branch_inverse(0.0, -1) == pytest.approx(-H.R, abs=1e-15)
+TAB_P = np.round(np.linspace(-1.0, 0.0, 11), 12)
+TAB = Hamiltonian(R=1.0, kind="tabulated", samples=tuple(
+    (p, -0.3 * p**3 + 0.7 * p**2 + p if -1.0 < p < 0.0 else 0.0) for p in TAB_P))
+
+
+class TestLevelSpeed:
+    @pytest.mark.parametrize("H", [Hamiltonian(R=1.0), Hamiltonian(R=2.0, kappa=0.5), TAB],
+                             ids=["quadratic", "asymmetric", "tabulated"])
+    def test_speed_on_each_branch(self, H):
+        h = np.linspace(H.h_min, 0.0, 201)
+        for branch, (a, b) in ((1, (H.p_hat, 0.0)), (-1, (-H.R, H.p_hat))):
+            # the p with H(p) = h on the branch, from a dense scan (H rises along it)
+            p = np.linspace(a, b, 200_001)[::branch]
+            p_h = np.interp(h, H.value(p), p)
+            speed = H.level_speed(h, branch)
+            assert np.abs(speed - np.abs(H.deriv(p_h))).max() <= 1e-8
         # levels outside [h_min, 0] clip to the vertex and the ends
-        assert H.branch_inverse(H.h_min - 1.0, 1) == H.p_hat
-        assert H.branch_inverse(1.0, -1) == pytest.approx(-H.R, abs=1e-15)
+        for branch in (1, -1):
+            assert H.level_speed(H.h_min - 1.0, branch) == H.level_speed(H.h_min, branch)
+            assert H.level_speed(H.h_min, branch) <= 1e-7
+        assert H.level_speed(1.0, 1) == H.level_speed(0.0, 1) == pytest.approx(H.dh0, abs=1e-12)
+        assert H.level_speed(1.0, -1) == H.level_speed(0.0, -1) == pytest.approx(-H.dhr, abs=1e-12)
+
+
+class TestLegCost:
+    @pytest.mark.parametrize("kappa,R", [(1.0, 1.0), (0.5, 2.0), (0.3, 1.7), (2.5, 0.6)])
+    def test_quadratic_mid_branch_is_the_closed_form_bitwise(self, kappa, R):
+        H = Hamiltonian(R=R, kappa=kappa)
+        rng = np.random.default_rng(7)
+        dt = rng.uniform(0.01, 5.0, 2000)
+        dx = rng.uniform(-kappa * R, kappa * R, 2000) * dt
+        mid = (dx > H.dhr * dt) & (dx < H.dh0 * dt)
+        dx, dt = dx[mid], dt[mid]
+        expect = (dx - kappa * R * dt) ** 2 / (4.0 * kappa * dt)
+        assert np.array_equal(H.leg_cost(dx, dt), expect)
+
+    def test_tabulated_is_the_perspective_of_the_numeric_conjugate(self):
+        lo, hi = TAB._table[:2]
+        # every piece: slopes at its knots and at its middle
+        alpha = TAB.deriv(np.concatenate([lo, 0.5 * (lo + hi)]))
+        dt = np.random.default_rng(3).uniform(0.2, 3.0, len(alpha))
+        cost = TAB.leg_cost(alpha * dt, dt)
+        for c, a, s in zip(cost, alpha, dt):
+            assert c == pytest.approx(s * numeric_conjugate(TAB, a), abs=1e-9)
+
+
+class TestEquality:
+    @pytest.mark.parametrize("make", [
+        lambda: Hamiltonian(R=2.0, kappa=0.5),
+        lambda: Hamiltonian(R=1.0, kind="tabulated", samples=TAB.samples),
+    ], ids=["quadratic", "tabulated"])
+    def test_equal_and_hashable_by_defining_entries(self, make):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert JunctionModel(a, a) == JunctionModel(b, b)
+        assert hash(JunctionModel(a, a)) == hash(JunctionModel(b, b))
+        other = Hamiltonian(R=1.0, kappa=0.25)
+        assert a != other and JunctionModel(a, other) != JunctionModel(b, b)
 
 
 class TestJunctionModel:
