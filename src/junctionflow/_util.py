@@ -1,14 +1,23 @@
-"""Small shared helpers: JSON hygiene and an unused order-preserving map."""
+"""Small shared helpers: JSON hygiene, the one CSV writer and an unused
+order-preserving map."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 # No caller: kept only because the benchmark's tracer wraps it by name at install.
 def parallel_starmap(fn, arg_tuples):
     """Apply fn over argument tuples, results in input order, in this process."""
     return [fn(*args) for args in arg_tuples]
+
+
+def write_csv(path, header, *columns):
+    """One row per element of the (raveled, equal-size) columns, every number as %.17g."""
+    rows = np.column_stack([np.ravel(c) for c in columns])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def reject_non_finite(obj, path="$"):

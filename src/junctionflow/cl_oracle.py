@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._util import write_csv
 from .controls import Control
 from .flux_models import Hamiltonian, JunctionModel, ModelError, flux_branches
 from .hj_junction import Mesh, SolverError, value_grid
@@ -28,11 +29,7 @@ class DensityField:
     mass_balance_error: float = 0.0
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,t,rho\n")
-            for j, t in enumerate(self.times):
-                for i, x in enumerate(self.centers):
-                    fh.write(f"{x:.17g},{t:.17g},{self.rho[i, j]:.17g}\n")
+        write_csv(path, "x,t,rho", *np.meshgrid(self.centers, self.times), self.rho.T)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import _toml
-from ._util import reject_non_finite
+from ._util import reject_non_finite, write_csv
 from .cl_oracle import DensityField, cross_check, density_from_value_field, make_grid
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel
@@ -293,10 +293,7 @@ def cmd_solve(cfg, out_dir):
     field.write_csv(os.path.join(out_dir, "u.csv"))
     _write_density_csv(os.path.join(out_dir, "rho_hj.csv"), field)
     trace = junction_values(inp.model, inp.u0, inp.ctrl, inp.mesh.ts)
-    with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
-        fh.write("t,u\n")
-        for t, u in zip(inp.mesh.ts, trace):
-            fh.write(f"{t:.17g},{u:.17g}\n")
+    write_csv(os.path.join(out_dir, "trace.csv"), "t,u", inp.mesh.ts, trace)
     audit = gradient_audit(field, inp.model)
     summary = dict(
         command="solve",
@@ -326,10 +323,8 @@ def cmd_optimize(cfg, out_dir):
     out = res.as_dict()
     out["pattern"] = pattern_extract(res, inp.model.A0).as_dict()
     _write_json(os.path.join(out_dir, "result.json"), out)
-    with open(os.path.join(out_dir, "history.csv"), "w") as fh:
-        fh.write("evals,best_cost\n")
-        for n, v in res.history:
-            fh.write(f"{n},{v:.17g}\n")
+    write_csv(os.path.join(out_dir, "history.csv"), "evals,best_cost",
+              [n for n, _ in res.history], [v for _, v in res.history])
     return EXIT_OK
 
 

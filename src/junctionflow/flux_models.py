@@ -273,8 +273,8 @@ class InitialData:
     slopes: Tuple[float, ...]
     capacities: Tuple[float, float]
     allow_boundary_slopes: bool = False
-    _nodes: np.ndarray = field(init=False, repr=False)
-    _node_values: np.ndarray = field(init=False, repr=False)
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _node_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
@@ -341,7 +341,7 @@ class InitialData:
         return lo, hi, q, yref, uref
 
     @classmethod
-    def from_samples(cls, xs, us, capacities, shift_to_zero=True):
+    def from_samples(cls, xs, us, capacities):
         """Build piecewise-linear data from samples; slopes clipped into [-R, 0].
 
         Returns (data, offset) with u(x) ~= data(x) + offset; sampled rows of a
@@ -355,8 +355,7 @@ class InitialData:
         slopes = np.clip(slopes, -caps, 0.0)
         slopes = np.concatenate([[slopes[0]], slopes, [slopes[-1]]])
         data = cls(tuple(xs), tuple(slopes), capacities, allow_boundary_slopes=True)
-        offset = float(np.interp(0.0, xs, us)) if shift_to_zero else 0.0
-        return data, offset
+        return data, float(np.interp(0.0, xs, us))
 
     def ident(self) -> str:
         return f"u0(breakpoints={self.breakpoints!r},slopes={self.slopes!r})"

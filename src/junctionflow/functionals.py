@@ -65,12 +65,6 @@ class BoxWeight:
         down = _smoothstep((self.x2 - x) / self.delta)
         return np.where((x > self.x1) & (x < self.x2), np.minimum(up, down), 0.0)
 
-    def psi2(self, t):
-        t = np.asarray(t, dtype=float)
-        up = _smoothstep((t - self.t1) / (self.t2 - self.t1))
-        down = _smoothstep((self.t4 - t) / (self.t4 - self.t3))
-        return np.minimum(up, down)
-
     def dpsi2(self, t):
         t = np.asarray(t, dtype=float)
         rising = (t > self.t1) & (t < self.t2)
@@ -159,14 +153,26 @@ def _check_support(phi_vals: np.ndarray, where: str):
         raise FunctionalError(f"weight support leaks through the {where} boundary")
 
 
+def quadrature(phi_vals: np.ndarray, mesh: Mesh, values: np.ndarray):
+    """Tensor-product trapezoid sum of phi * values over the mesh.
+
+    values shaped (nx, nt) give one sum; (nx, nt, n) give one sum per
+    trailing index. Boolean values go in as they are, with no float copy.
+    """
+    wx = _trapezoid_weights(mesh.xs)
+    wt = _trapezoid_weights(mesh.ts)
+    return np.einsum("i,j,ij,ij...->...", wx, wt, phi_vals, values)
+
+
 def field_term(spec: CostSpec, field: ValueField) -> float:
     """Tensor-product trapezoidal quadrature of phi * u over the field mesh."""
     mesh = Mesh(field.xs, field.ts)
     phi_vals = spec.weight.phi_grid(mesh)
     _check_support(phi_vals, "mesh")
-    wx = _trapezoid_weights(field.xs)
-    wt = _trapezoid_weights(field.ts)
-    return float(np.einsum("i,j,ij->", wx, wt, phi_vals * field.u))
+    # phi u is formed before the weights multiply in, as J has always been
+    # summed: J is flat to the last bit on the optimal plateau, so a change
+    # of product order could move the reported switch
+    return float(quadrature(phi_vals * field.u, mesh, np.ones((1, 1))))
 
 
 def cost(model, u0, spec: CostSpec, A: Control, mesh: Mesh) -> float:

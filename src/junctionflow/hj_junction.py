@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import write_csv
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel, ModelError
 
@@ -109,15 +110,9 @@ class ValueField:
     xs: np.ndarray
     ts: np.ndarray
     u: np.ndarray
-    control_id: str = ""
-    model_id: str = ""
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,t,u\n")
-            for j, t in enumerate(self.ts):
-                for i, x in enumerate(self.xs):
-                    fh.write(f"{x:.17g},{t:.17g},{self.u[i, j]:.17g}\n")
+        write_csv(path, "x,t,u", *np.meshgrid(self.xs, self.ts), self.u.T)
 
 
 class Evaluator:
@@ -484,7 +479,7 @@ def value_grid(model, u0, A, mesh: Mesh) -> ValueField:
     ev = Evaluator(model, u0, A)
     _check_mesh(mesh, A)
     u = _grid_block(ev, mesh.xs, mesh.ts)
-    return ValueField(mesh.xs, mesh.ts, u, control_id=A.ident(), model_id=model.ident())
+    return ValueField(mesh.xs, mesh.ts, u)
 
 
 def optimal_trajectory(model, u0, A, x, t, select: str) -> TrajectoryDescriptor:
@@ -587,7 +582,15 @@ def _exit_legs(H: Hamiltonian, xs, ts, a):
     return E
 
 
-def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None, pad=1.05):
+def _dp_domain(model, t, x=0.0):
+    """The DP lattice span: 0 and x, widened by 1.05 times the fastest
+    characteristic reach over time t on each side."""
+    reach_l = max(model.left.dh0, model.right.dh0)
+    reach_r = max(-model.left.dhr, -model.right.dhr)
+    return (min(0.0, x) - 1.05 * reach_l * t, max(0.0, x) + 1.05 * reach_r * t)
+
+
+def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None):
     """DP oracle on the whole lattice: (nodes, times, V), V[i, k] ~ u(nodes[i], times[k]).
 
     Paths are piecewise linear with vertices at lattice times, positions
@@ -599,17 +602,18 @@ def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None, pad=1.05
     (Lax-Hopf with an internal boundary condition), so long exit legs are
     not chained through interpolated steps. First-order accurate: the error
     left is the linear interpolation of the value between abscissae.
+    domain must hold x = 0 in its interior; by default it spans 1.05 times
+    the fastest characteristic reach over t on each side.
     """
     nx, nt = lattice
     if nx < 8 or nt < 8:
         raise SolverError("lattice must be at least 8x8")
     if t <= 0 or t > A.horizon + 1e-12:
         raise SolverError(f"t = {t} outside (0, {A.horizon}]")
+    domain = _dp_domain(model, t) if domain is None else domain
+    if not domain[0] < 0.0 < domain[1]:
+        raise SolverError(f"DP domain ({domain[0]}, {domain[1]}) must contain x = 0 in its interior")
     Hl, Hr = model.left, model.right
-    reach_l = max(Hl.dh0, Hr.dh0)
-    reach_r = max(-Hl.dhr, -Hr.dhr)
-    if domain is None:
-        domain = (-pad * reach_l * t, pad * reach_r * t)
     nodes = np.unique(np.concatenate([np.linspace(domain[0], domain[1], nx), [0.0]]))
     iz = int(np.searchsorted(nodes, 0.0))
     ts = np.linspace(0.0, t, nt + 1)
@@ -638,11 +642,7 @@ def brute_force_value(model, u0, A, x, t, lattice=(200, 200)) -> float:
     """Independent lattice-path oracle for a single point: lattice paths plus one
     exact straight exit leg from the junction node, first-order accurate; see
     brute_force_field."""
-    Hl, Hr = model.left, model.right
-    reach_l = max(Hl.dh0, Hr.dh0)
-    reach_r = max(-Hl.dhr, -Hr.dhr)
-    domain = (min(0.0, x) - 1.05 * reach_l * t, max(0.0, x) + 1.05 * reach_r * t)
-    nodes, _, V = brute_force_field(model, u0, A, t, lattice, domain=domain)
+    nodes, _, V = brute_force_field(model, u0, A, t, lattice, domain=_dp_domain(model, t, x))
     return float(np.interp(float(x), nodes, V[:, -1]))
 
 

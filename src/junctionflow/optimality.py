@@ -5,7 +5,9 @@ indicator of selected optimal trajectories: with
 
   D(s) = integral over {t > s} of phi(x, t) 1{selected path dwells at s}
 
-a minimizer must satisfy D_plus(s) <= f'(A(s)) wherever the limiter can be
+summed by the same trapezoid quadrature as the field term of J (one
+einsum over a node-by-sample mask gives D at every sample time), a
+minimizer must satisfy D_plus(s) <= f'(A(s)) wherever the limiter can be
 raised (A < 0) and D_minus(s) >= f'(A(s)) wherever it can be lowered
 (A > A0), with D_plus / D_minus computed from the most- / least-at-zero
 selections. Past the left end of the last connected component of
@@ -21,12 +23,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .controls import Control
-from .functionals import BoxWeight, CostSpec, _trapezoid_weights
+from .functionals import BoxWeight, CostSpec, quadrature
 from .hj_junction import (
     LEAST_AT_ZERO,
     MOST_AT_ZERO,
     Mesh,
-    SolverError,
     junction_values,
     optimal_trajectory,
     trajectory_field,
@@ -80,37 +81,30 @@ class OptimalityAudit:
         )
 
 
-def _phi_and_weights(spec: CostSpec, mesh: Mesh):
-    phi_vals = spec.weight.phi_grid(mesh)
-    wx = _trapezoid_weights(mesh.xs)
-    wt = _trapezoid_weights(mesh.ts)
-    return phi_vals, wx, wt
-
-
-def _indicator_integral(phi_vals, wx, wt, ts, tfield, s):
-    ind = (
-        tfield["is_dwell"]
-        & (np.nan_to_num(tfield["a"], nan=np.inf) <= s)
-        & (s <= np.nan_to_num(tfield["b"], nan=-np.inf))
-        & (ts[None, :] > s)
-    )
-    return float(np.einsum("i,j,ij->", wx, wt, phi_vals * ind))
+def _dwell_measures(phi_vals, mesh: Mesh, tfield, s):
+    """D(s) at every time in s: the quadrature of phi over the nodes past s
+    whose selected path dwells at s. a and b are NaN on straight paths, so
+    the mask is False there."""
+    s = np.asarray(s, dtype=float)
+    # built in place, so at most one node-by-sample temporary lives beside it
+    mask = tfield["a"][..., None] <= s
+    mask &= s <= tfield["b"][..., None]
+    mask &= mesh.ts[:, None] > s
+    return quadrature(phi_vals, mesh, mask)
 
 
 def dwell_measure(model, u0, A, spec: CostSpec, s: float, select: str, mesh: Mesh,
                   _tfield=None) -> float:
     """Weighted measure of mesh points past s whose selected path dwells at s."""
-    phi_vals, wx, wt = _phi_and_weights(spec, mesh)
     tf = _tfield if _tfield is not None else trajectory_field(model, u0, A, mesh, select)
-    return _indicator_integral(phi_vals, wx, wt, mesh.ts, tf, float(s))
+    return float(_dwell_measures(spec.weight.phi_grid(mesh), mesh, tf, [s])[0])
 
 
-def default_s_samples(T: float, A: Control, n: int = 128, nudge: float = 1e-9):
-    """Midpoints of a uniform partition of (0, T), nudged off control breakpoints."""
+def default_s_samples(T: float, A: Control, n: int = 128):
+    """Midpoints of a uniform partition of (0, T), nudged 1e-9 off control breakpoints."""
     s = (np.arange(n) + 0.5) * T / n
     for tau in A.times:
-        hit = np.abs(s - tau) < nudge
-        s[hit] += nudge
+        s[np.abs(s - tau) < 1e-9] += 1e-9
     return s
 
 
@@ -134,20 +128,9 @@ def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
     if theta is None:
         theta = 1e-6 * (1.0 + float(np.abs(u_free).max(initial=0.0)))
     gap = u_free - u_bar
-    below = gap > theta
-    components = []
-    i = 0
-    while i < len(ts):
-        if below[i]:
-            j = i
-            while j + 1 < len(ts) and below[j + 1]:
-                j += 1
-            lo = _cross(ts, gap, theta, i, -1)
-            hi = _cross(ts, gap, theta, j, +1)
-            components.append((lo, hi))
-            i = j + 1
-        else:
-            i += 1
+    edge = np.diff((gap > theta).astype(int), prepend=0, append=0)  # +1 run start, -1 past its end
+    components = [(_cross(ts, gap, theta, i, -1), _cross(ts, gap, theta, j - 1, +1))
+                  for i, j in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1))]
 
     tau_hat = []
     for (a, b) in components:
@@ -199,80 +182,55 @@ def _cross(ts, gap, theta, i, direction):
     return float(ts[i] + w * (ts[j] - ts[i]))
 
 
-def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None,
-                     tol_opt: Optional[float] = None) -> OptimalityAudit:
+def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None) -> OptimalityAudit:
     """Audit the directional-derivative conditions at the given times.
 
-    tol_opt defaults to five times an internal quadrature-error estimate of
-    the indicator integrals (mesh-coarsening difference). The audit always
-    returns; violations are counted, not raised.
+    The tolerance tol_opt is five times a quadrature-error estimate of the
+    dwell measures (mesh-coarsening difference). The audit always returns;
+    violations are counted, not raised.
     """
-    T = A.horizon
     if s_samples is None:
-        s_samples = default_s_samples(T, A)
+        s_samples = default_s_samples(A.horizon, A)
     s_samples = np.asarray(s_samples, dtype=float)
-    phi_vals, wx, wt = _phi_and_weights(spec, mesh)
+    phi_vals = spec.weight.phi_grid(mesh)
     tf_plus = trajectory_field(model, u0, A, mesh, MOST_AT_ZERO)
     tf_minus = trajectory_field(model, u0, A, mesh, LEAST_AT_ZERO)
-
-    h_plus = np.array([_indicator_integral(phi_vals, wx, wt, mesh.ts, tf_plus, s) for s in s_samples])
-    h_minus = np.array([_indicator_integral(phi_vals, wx, wt, mesh.ts, tf_minus, s) for s in s_samples])
-
-    if tol_opt is None:
-        est = _quadrature_error_estimate(phi_vals, mesh, tf_plus, s_samples)
-        tol_opt = 5.0 * max(est, 1e-12)
+    h_plus = _dwell_measures(phi_vals, mesh, tf_plus, s_samples)
+    h_minus = _dwell_measures(phi_vals, mesh, tf_minus, s_samples)
+    tol_opt = 5.0 * max(_quadrature_error_estimate(phi_vals, mesh, tf_plus, s_samples), 1e-12)
 
     report = component_report(model, u0, A, mesh, spec=spec, _tfield_minus=tf_minus)
     a_bar = report.last_component[0] if report.last_component else None
-
     tol_a = 1e-9 * (1.0 + abs(model.A0))
-    samples = []
-    violations = 0
-    a_vals = A(s_samples)
-    for i, s in enumerate(s_samples):
-        a_s = float(a_vals[i])
-        fp = spec.fprime(a_s)
-        checks = []
-        if a_s < -tol_a:
-            checks.append(("raiseable", h_plus[i] - fp <= tol_opt))
-        if a_s > model.A0 + tol_a:
-            checks.append(("lowerable", h_minus[i] - fp >= -tol_opt))
-        if a_bar is not None and s > a_bar:
-            if model.A0 + tol_a < a_s < -tol_a:
-                checks.append(("last_component_equality", abs(h_plus[i] - fp) <= tol_opt))
-            elif a_s >= -tol_a:
-                checks.append(("last_component_at_zero", h_plus[i] - fp >= -tol_opt))
-            else:
-                checks.append(("last_component_at_floor", h_plus[i] - fp <= tol_opt))
-        bad = [name for name, ok in checks if not ok]
-        if bad:
-            violations += 1
-        samples.append(
-            dict(
-                s=float(s),
-                H_plus=float(h_plus[i]),
-                H_minus=float(h_minus[i]),
-                A=a_s,
-                verdict="ok" if not bad else "violated:" + ",".join(bad),
-            )
-        )
+    a_vals = np.asarray(A(s_samples), dtype=float)
+    fp = spec.fprime(a_vals)
+    dp, dm = h_plus - fp, h_minus - fp
+    up, down = a_vals < -tol_a, a_vals > model.A0 + tol_a  # raiseable, lowerable
+    last = s_samples > a_bar if a_bar is not None else np.zeros(len(s_samples), dtype=bool)
+    failed = dict(
+        raiseable=up & (dp > tol_opt),
+        lowerable=down & (dm < -tol_opt),
+        last_component_equality=last & up & down & (np.abs(dp) > tol_opt),
+        last_component_at_zero=last & ~up & (dp < -tol_opt),
+        last_component_at_floor=last & up & ~down & (dp > tol_opt),
+    )
+    names = np.array(list(failed))
+    bad = np.stack(list(failed.values()), axis=1)
+    samples = tuple(
+        dict(s=float(s), H_plus=float(hp), H_minus=float(hm), A=float(a),
+             verdict="violated:" + ",".join(names[row]) if row.any() else "ok")
+        for s, hp, hm, a, row in zip(s_samples, h_plus, h_minus, a_vals, bad)
+    )
     tolerances = dict(tol_opt=float(tol_opt), tol_a=float(tol_a), theta=report.theta)
-    return OptimalityAudit(tuple(samples), violations, tolerances, report)
+    return OptimalityAudit(samples, int(bad.any(axis=1).sum()), tolerances, report)
 
 
 def _quadrature_error_estimate(phi_vals, mesh: Mesh, tfield, s_samples):
-    """Mesh-coarsening difference of the indicator integrals, maxed over s."""
+    """Mesh-coarsening difference of the dwell measures, maxed over s."""
     if len(mesh.xs) < 5 or len(mesh.ts) < 5:
         return 0.0
-    wx = _trapezoid_weights(mesh.xs)
-    wt = _trapezoid_weights(mesh.ts)
-    cx = _trapezoid_weights(mesh.xs[::2])
-    ct = _trapezoid_weights(mesh.ts[::2])
-    coarse_t = mesh.ts[::2]
-    sub = {k: (v[::2, ::2] if hasattr(v, "ndim") and v.ndim == 2 else v) for k, v in tfield.items()}
-    worst = 0.0
-    for s in s_samples[:: max(1, len(s_samples) // 16)]:
-        full = _indicator_integral(phi_vals, wx, wt, mesh.ts, tfield, float(s))
-        coarse = _indicator_integral(phi_vals[::2, ::2], cx, ct, coarse_t, sub, float(s))
-        worst = max(worst, abs(full - coarse))
-    return worst
+    s = s_samples[:: max(1, len(s_samples) // 16)]
+    coarse = Mesh(mesh.xs[::2], mesh.ts[::2])
+    half = {k: v[::2, ::2] for k, v in tfield.items()}
+    diff = _dwell_measures(phi_vals, mesh, tfield, s) - _dwell_measures(phi_vals[::2, ::2], coarse, half, s)
+    return float(np.abs(diff).max(initial=0.0))

@@ -62,6 +62,15 @@ def random_control(rng, a0, T=T_HORIZON, cells=5, times=None):
     return Control(tuple(times), tuple(values))
 
 
+def trapezoid(axis):
+    """Trapezoid weights on a 1-d grid: half of each neighbouring gap."""
+    w = np.zeros(len(axis))
+    d = np.diff(axis)
+    w[:-1] += d / 2.0
+    w[1:] += d / 2.0
+    return w
+
+
 def asym_case():
     """An asymmetric quadratic junction with a 4-piece datum."""
     model = JunctionModel(Hamiltonian(R=1.0, kappa=1.0), Hamiltonian(R=2.0, kappa=0.5))

@@ -6,7 +6,9 @@ import tomllib
 import numpy as np
 import pytest
 
-from junctionflow import Control, _toml, junction_values
+from junctionflow import Control, Mesh, _toml, junction_values, value_grid
+from junctionflow._util import write_csv
+from junctionflow.cl_oracle import DensityField, density_from_value_field
 from junctionflow.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, canonical_config, main
 
 from conftest import H_OF_P, P_SLOPE
@@ -35,6 +37,36 @@ CANONICAL_BOX_AND_MESH = dict(
     functional=dict(box=dict(x1=0.1, x2=0.18, t1=1.0, t2=1.5, t3=4.5, t4=5.0, delta=0.015)),
     mesh=dict(xmin=0.08, xmax=0.2, nx=21, tmin=0.9, tmax=5.1, nt=81),
 )
+
+
+def row_loop_csv(path, header, rows):
+    """The row-by-row writer the CSV outputs were written with: ints as
+    they are, floats as %.17g."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v}" if isinstance(v, int) else f"{v:.17g}" for v in row) + "\n")
+
+
+class TestCsvWriter:
+    def test_bytes_equal_the_row_loop(self, tmp_path, model, u0, switching):
+        field = value_grid(model, u0, switching, Mesh.regular(-1.0, 1.0, 41, 6.0, 13))
+        mids = 0.5 * (field.xs[:-1] + field.xs[1:])
+        dens = DensityField(mids, field.ts, density_from_value_field(field))
+        trace = junction_values(model, u0, switching, field.ts)
+        history = [(1, -0.0363748050728), (2, -4.1e-33), (3, 0.0), (17, -0.0), (260, -0.04208967853)]
+        cases = {
+            "u.csv": (field.write_csv, "x,t,u",
+                      [(x, t, field.u[i, j]) for j, t in enumerate(field.ts) for i, x in enumerate(field.xs)]),
+            "rho.csv": (dens.write_csv, "x,t,rho",
+                        [(x, t, dens.rho[i, j]) for j, t in enumerate(dens.times) for i, x in enumerate(mids)]),
+            "trace.csv": (lambda p: write_csv(p, "t,u", field.ts, trace), "t,u", list(zip(field.ts, trace))),
+            "history.csv": (lambda p: write_csv(p, "evals,best_cost", *zip(*history)), "evals,best_cost", history),
+        }
+        for name, (write, header, rows) in cases.items():
+            write(tmp_path / name)
+            row_loop_csv(tmp_path / ("ref-" + name), header, rows)
+            assert (tmp_path / name).read_bytes() == (tmp_path / ("ref-" + name)).read_bytes(), name
 
 
 class TestTomlRoundTrip:

@@ -191,6 +191,15 @@ class TestEquality:
         other = Hamiltonian(R=1.0, kappa=0.25)
         assert a != other and JunctionModel(a, other) != JunctionModel(b, b)
 
+    def test_initial_data_equal_and_hashable_by_defining_entries(self):
+        # the derived node arrays take no part in == and hash
+        def make(last=-1.4):
+            return InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, last), capacities=(1.0, 2.0))
+
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != make(-1.3) and a != InitialData((), (-0.8,), capacities=(1.0, 1.0))
+
 
 class TestJunctionModel:
     def test_a0_is_max_of_minima(self, quad):

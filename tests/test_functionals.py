@@ -13,7 +13,7 @@ from junctionflow.functionals import (
     make_box_weight,
 )
 
-from conftest import T_HORIZON
+from conftest import T_HORIZON, random_control, trapezoid
 
 
 class TestBoxWeight:
@@ -58,6 +58,16 @@ class TestBoxWeight:
 
 
 class TestCost:
+    def test_field_term_is_the_product_first_sum_bitwise(self, model, u0, box_spec, functional_mesh):
+        # J is flat to the last bit on the optimal plateau: phi u is formed
+        # first, then weighted, as in the one-einsum sum kept here
+        rng = np.random.default_rng(3)
+        phi = box_spec.weight.phi_grid(functional_mesh)
+        wx, wt = trapezoid(functional_mesh.xs), trapezoid(functional_mesh.ts)
+        for _ in range(20):
+            field = value_grid(model, u0, random_control(rng, model.A0), functional_mesh)
+            assert field_term(box_spec, field) == float(np.einsum("i,j,ij->", wx, wt, phi * field.u))
+
     def test_zero_weight_gives_linear_term(self, model, u0):
         mesh = Mesh.regular(0.0, 0.3, 11, 6.0, 13)
         phi = SampledWeight(mesh.xs, mesh.ts, np.zeros((11, 13)))

@@ -458,3 +458,20 @@ class TestDPOracle:
             for k in range(1, n + 1):
                 direct[:, k] = np.min(a[:k] + H.leg_cost(xs[:, None], ts[k] - ts[:k]), axis=1)
             assert np.array_equal(E, direct)
+
+    @pytest.mark.parametrize("domain", [(0.5, 5.0), (-5.0, -0.5), (0.0, 5.0), (-5.0, 0.0)])
+    def test_domain_must_hold_zero_inside(self, domain):
+        model, u0 = canonical_case()
+        A = Control((0.0, T_HORIZON), (model.A0,))
+        with pytest.raises(SolverError, match="DP domain"):
+            brute_force_field(model, u0, A, 1.0, (40, 40), domain=domain)
+
+    def test_default_domain_is_the_point_rule_at_zero(self):
+        # brute_force_value at x = 0 spans the field's default domain
+        model, u0 = asym_case()
+        A = random_control(np.random.default_rng(9), model.A0)
+        nodes, _, V = brute_force_field(model, u0, A, 2.0, (60, 60))
+        reach_l = max(model.left.dh0, model.right.dh0)
+        reach_r = max(-model.left.dhr, -model.right.dhr)
+        assert (nodes[0], nodes[-1]) == (-1.05 * reach_l * 2.0, 1.05 * reach_r * 2.0)
+        assert brute_force_value(model, u0, A, 0.0, 2.0, (60, 60)) == float(np.interp(0.0, nodes, V[:, -1]))

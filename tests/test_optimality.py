@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from junctionflow import Control, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh, optimality, trajectory_field
+from junctionflow import (Control, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh, junction_values, optimality,
+                          trajectory_field)
 from junctionflow.functionals import CostSpec, SampledWeight
 from junctionflow.optimality import (
     check_optimality,
@@ -10,7 +11,7 @@ from junctionflow.optimality import (
     dwell_measure,
 )
 
-from conftest import T_HORIZON, asym_case, random_control
+from conftest import T_HORIZON, asym_case, random_control, trapezoid
 
 
 def clipped_spec(box, mesh, sign):
@@ -19,7 +20,33 @@ def clipped_spec(box, mesh, sign):
     return CostSpec(SampledWeight(mesh.xs, mesh.ts, vals))
 
 
+def dwell_measure_reference(phi_vals, mesh, tfield, s):
+    """D(s) for one s: phi times the 0/1 dwell indicator, one einsum."""
+    ind = (
+        tfield["is_dwell"]
+        & (np.nan_to_num(tfield["a"], nan=np.inf) <= s)
+        & (s <= np.nan_to_num(tfield["b"], nan=-np.inf))
+        & (mesh.ts[None, :] > s)
+    )
+    return float(np.einsum("i,j,ij->", trapezoid(mesh.xs), trapezoid(mesh.ts), phi_vals * ind))
+
+
 class TestDwellMeasure:
+    @pytest.mark.parametrize("select", [MOST_AT_ZERO, LEAST_AT_ZERO])
+    @pytest.mark.parametrize("case", ["canonical", "asymq"])
+    def test_one_pass_equals_per_sample_sums_bitwise(self, case, select, model, u0, box_spec,
+                                                     functional_mesh):
+        if case == "asymq":
+            model, u0 = asym_case()
+        A = Control((0.0, 1.5, T_HORIZON), (0.0, model.A0))
+        tf = trajectory_field(model, u0, A, functional_mesh, select)
+        phi = box_spec.weight.phi_grid(functional_mesh)
+        s = default_s_samples(T_HORIZON, A)
+        ref = [dwell_measure_reference(phi, functional_mesh, tf, v) for v in s]
+        assert np.count_nonzero(ref) > 20
+        assert np.array_equal(optimality._dwell_measures(phi, functional_mesh, tf, s), ref)
+        assert dwell_measure(model, u0, A, box_spec, s[7], select, functional_mesh, _tfield=tf) == ref[7]
+
     def test_zero_weight(self, model, u0, switching, functional_mesh):
         spec = CostSpec(SampledWeight(functional_mesh.xs, functional_mesh.ts,
                                       np.zeros((len(functional_mesh.xs), len(functional_mesh.ts)))))
@@ -57,7 +84,50 @@ class TestDwellMeasure:
             assert hp >= hm - 1e-12
 
 
+def verdicts_reference(audit, model, spec):
+    """The per-sample verdict loop, run on the audit's own D+- values."""
+    tol_opt, tol_a = audit.tolerances["tol_opt"], audit.tolerances["tol_a"]
+    a_bar = audit.components.last_component[0] if audit.components.last_component else None
+    out = []
+    for smp in audit.samples:
+        s, a_s, hp, hm = smp["s"], smp["A"], smp["H_plus"], smp["H_minus"]
+        fp = spec.fprime(a_s)
+        checks = []
+        if a_s < -tol_a:
+            checks.append(("raiseable", hp - fp <= tol_opt))
+        if a_s > model.A0 + tol_a:
+            checks.append(("lowerable", hm - fp >= -tol_opt))
+        if a_bar is not None and s > a_bar:
+            if model.A0 + tol_a < a_s < -tol_a:
+                checks.append(("last_component_equality", abs(hp - fp) <= tol_opt))
+            elif a_s >= -tol_a:
+                checks.append(("last_component_at_zero", hp - fp >= -tol_opt))
+            else:
+                checks.append(("last_component_at_floor", hp - fp <= tol_opt))
+        bad = [name for name, ok in checks if not ok]
+        out.append("violated:" + ",".join(bad) if bad else "ok")
+    return out
+
+
 class TestCheckOptimality:
+    def test_verdicts_equal_the_per_sample_loop(self, model, u0, box, switching, free_flow, blocked):
+        mesh = Mesh.regular(0.08, 0.2, 21, 5.1, 81, tmin=0.9)
+        rng = np.random.default_rng(4)
+        controls = [switching, free_flow, blocked] + [random_control(rng, model.A0, cells=3) for _ in range(2)]
+        seen = set()
+        for coeff in (0.0, 0.05, -0.05):
+            spec = CostSpec(box, linear_coeff=coeff)
+            for A in controls:
+                audit = check_optimality(model, u0, A, spec, mesh,
+                                         s_samples=default_s_samples(T_HORIZON, A, 32))
+                verdicts = [smp["verdict"] for smp in audit.samples]
+                assert verdicts == verdicts_reference(audit, model, spec)
+                assert audit.violations == sum(v != "ok" for v in verdicts)
+                seen.update(verdicts)
+        named = {n for v in seen - {"ok"} for n in v.split(":")[1].split(",")}
+        assert named == {"raiseable", "lowerable", "last_component_equality",
+                         "last_component_at_zero", "last_component_at_floor"}
+
     def test_nonpositive_weight_free_flow_clean(self, model, u0, box, free_flow):
         mesh = Mesh.regular(0.08, 0.2, 25, 5.1, 81, tmin=0.9)
         spec = clipped_spec(box, mesh, -1)
@@ -111,7 +181,37 @@ class TestCheckOptimality:
         assert audit.violations > 0
 
 
+def components_reference(ts, gap, theta):
+    """The while-loop scan of the runs of gap > theta."""
+    below = gap > theta
+    out, i = [], 0
+    while i < len(ts):
+        if below[i]:
+            j = i
+            while j + 1 < len(ts) and below[j + 1]:
+                j += 1
+            out.append((optimality._cross(ts, gap, theta, i, -1), optimality._cross(ts, gap, theta, j, +1)))
+            i = j + 1
+        else:
+            i += 1
+    return tuple(out)
+
+
 class TestComponentReport:
+    def test_runs_equal_the_while_loop_scan(self, model, u0, functional_mesh):
+        rng = np.random.default_rng(6)
+        counts = set()
+        for _ in range(8):
+            A = random_control(rng, model.A0, cells=6)
+            rep = component_report(model, u0, A, functional_mesh)
+            inner = [s for s in A.times if 0.0 < s < A.horizon]
+            ts = np.unique(np.concatenate([np.linspace(0.0, A.horizon, 513)[1:], inner]))
+            free = Control((0.0, A.horizon), (model.A0,))
+            gap = junction_values(model, u0, free, ts) - junction_values(model, u0, A, ts)
+            assert rep.components == components_reference(ts, gap, rep.theta)
+            counts.add(len(rep.components))
+        assert counts >= {1, 2}
+
     def test_free_flow_no_components(self, model, u0, free_flow, functional_mesh):
         rep = component_report(model, u0, free_flow, functional_mesh)
         assert rep.components == ()
