@@ -9,7 +9,6 @@ Used to cross-validate rho^A = -u^A_x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 

@@ -95,15 +95,19 @@ class _Builder:
     def entry(self, path: str, default, kind, minimum=None):
         """An entry of the given kind (a float entry takes an integer, a list
         entry holds numbers and comes back as a tuple of floats, only a bool
-        entry takes a bool), at least minimum when one is given. With the
-        default _MISSING the entry is required. On a problem, the default
-        comes back (None for a required entry)."""
+        entry takes a bool; float and list entries must be finite), at least
+        minimum when one is given. With the default _MISSING the entry is
+        required. On a problem, the default comes back (None for a required
+        entry)."""
         value = self.get(path, default)
         if value is _MISSING:
             self.fail(f"missing config entry [{path}]")
             return None
         if not _is_kind(value, kind):
             self.fail(f"config entry [{path}] must be {_KINDS[kind]}, got {value!r}")
+            return None if default is _MISSING else default
+        if kind in (float, list) and not np.all(np.isfinite(value)):
+            self.fail(f"config entry [{path}] must be a finite number, got {value!r}")
             return None if default is _MISSING else default
         if minimum is not None and value < minimum:
             self.fail(f"config entry [{path}] must be at least {minimum}, got {value!r}")

@@ -11,12 +11,12 @@ exactly against the piecewise-constant control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .controls import Control, integrate
-from .hj_junction import Mesh, SolverError, ValueField, value_grid
+from .hj_junction import Mesh, ValueField, value_grid
 
 
 class FunctionalError(ValueError):

@@ -108,10 +108,11 @@ def default_s_samples(T: float, A: Control, n: int = 128):
     return s
 
 
-def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
-                     spec: Optional[CostSpec] = None, _tfield_minus=None) -> ComponentReport:
+def component_report(model, u0, A, mesh: Mesh, spec: Optional[CostSpec] = None,
+                     _tfield_minus=None) -> ComponentReport:
     """Thresholded components of the junction-value gap and box-time markers.
 
+    The gap threshold is theta = 1e-6 (1 + max |u^free(0, .)|).
     tau is the largest dwell time of least-at-zero trajectories from grid
     points in the positive-weight box (clipped to its time window); the
     s_bar_minus marker is the first dwell time of the most-at-zero path to
@@ -125,12 +126,9 @@ def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
     u_bar = junction_values(model, u0, A, ts)
     free = Control((0.0, T), (model.A0,))
     u_free = junction_values(model, u0, free, ts)
-    if theta is None:
-        theta = 1e-6 * (1.0 + float(np.abs(u_free).max(initial=0.0)))
+    theta = 1e-6 * (1.0 + float(np.abs(u_free).max(initial=0.0)))
     gap = u_free - u_bar
-    edge = np.diff((gap > theta).astype(int), prepend=0, append=0)  # +1 run start, -1 past its end
-    components = [(_cross(ts, gap, theta, i, -1), _cross(ts, gap, theta, j - 1, +1))
-                  for i, j in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1))]
+    components = _components(ts, gap, theta)
 
     tau_hat = []
     for (a, b) in components:
@@ -166,6 +164,13 @@ def component_report(model, u0, A, mesh: Mesh, theta: Optional[float] = None,
             if d.dwells:
                 s_bar_minus = d.a
     return ComponentReport(tuple(components), float(theta), tuple(tau_hat), tau, s_bar_minus)
+
+
+def _components(ts, gap, theta):
+    """The runs of gap > theta, each end at its interpolated theta crossing."""
+    edge = np.diff((gap > theta).astype(int), prepend=0, append=0)  # +1 run start, -1 past its end
+    return [(_cross(ts, gap, theta, i, -1), _cross(ts, gap, theta, j - 1, +1))
+            for i, j in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1))]
 
 
 def _cross(ts, gap, theta, i, direction):

@@ -1,22 +1,23 @@
 """Derivative-free search for minimizing flux limiters.
 
-Two routes: enumeration of bang-bang switch patterns (golden-section per
-switch time under coordinate descent, deterministic multi-start), and a
-relaxed cellwise baseline over [A0, 0]^m. Cost evaluations go through a
-per-run cache keyed by the canonical control, since the value field is the
-expensive object.
+Two routes share one coordinate descent (`_descend`): enumeration of
+bang-bang switch patterns, each from uniform switches with a golden section
+per switch time, and a relaxed cellwise baseline over [A0, 0]^m. Cost
+evaluations go through a per-run cache keyed by the canonical control, since
+the value field is the expensive object.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .controls import Control, clamp_project, integrate
-from .functionals import BoxWeight, CostSpec, cost
+from .controls import Control, clamp_project
+from .functionals import CostSpec, cost
 from .hj_junction import Mesh
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -128,31 +129,6 @@ def _bangbang_control(T: float, start_value: float, other: float, switches) -> C
     return Control(times, values)
 
 
-def _seed_switches(k: int, T: float, box_times):
-    """Five deterministic seedings: uniform, early, late, box-aligned, box-mid."""
-    seeds = [
-        [T * (i + 1) / (k + 1) for i in range(k)],
-        [T * (i + 1) / (2 * k + 2) for i in range(k)],
-        [T - T * (k - i) / (2 * k + 2) for i in range(k)],
-    ]
-    if box_times:
-        aligned = sorted(box_times)[:k]
-        while len(aligned) < k:
-            aligned.append(aligned[-1] + (T - aligned[-1]) / 2.0)
-        seeds.append(sorted(aligned))
-        mids = [0.5 * (a + b) for a, b in zip(seeds[0], seeds[3])]
-        seeds.append(sorted(mids))
-    out = []
-    margin = SWITCH_MARGIN * T
-    for s in seeds:
-        s = list(np.clip(np.sort(np.asarray(s, dtype=float)), margin, T - margin))
-        for i in range(1, len(s)):
-            s[i] = max(s[i], s[i - 1] + margin)
-        if s[-1] <= T - margin / 2 and tuple(s) not in {tuple(x) for x in out}:
-            out.append(s)
-    return out
-
-
 def _golden_min(fun, lo: float, hi: float, iters: int = 20):
     """Golden-section minimization; returns the best probed point and value."""
     pts = {}
@@ -181,13 +157,34 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 20):
     return best, pts[best]
 
 
+def _descend(evalJ, x, val, line_min, sweeps):
+    """Coordinate descent from x with cost val: line_min(x, j) proposes a
+    (coordinate, cost) pair for x[j], kept when it beats val by more than
+    1e-14 (1 + |val|). Stops after `sweeps` sweeps, after a sweep that moves
+    nothing, or when the budget is spent; returns the final x and cost."""
+    for _ in range(sweeps):
+        improved = False
+        for j in range(len(x)):
+            if evalJ.exhausted:
+                break
+            xj, vj = line_min(x, j)
+            if vj < val - 1e-14 * (1.0 + abs(val)):
+                x[j] = xj
+                val = vj
+                improved = True
+        if not improved or evalJ.exhausted:
+            break
+    return x, val
+
+
 def optimize_bangbang(model, u0, spec: CostSpec, T: float, k_max: int, budget: int,
                       mesh: Mesh) -> OptimizeResult:
-    """Best two-level control over switch counts k = 0..k_max.
+    """Best two-level control over switch counts k = 0..k_max and both start
+    values.
 
-    Coordinate descent with golden-section per switch time, keeping the
-    times ordered with a small margin; deterministic multi-start from
-    uniform / early / late / box-aligned seedings.
+    Each pattern starts from the k uniform switches T (i + 1) / (k + 1) and
+    runs coordinate descent with a golden section per switch time, inside the
+    bracket of its neighbours less a small margin, so the times stay ordered.
     """
     if k_max < 1:
         raise OptimizerError("k_max must be >= 1")
@@ -195,54 +192,33 @@ def optimize_bangbang(model, u0, spec: CostSpec, T: float, k_max: int, budget: i
         raise OptimizerError(f"budget must be >= {MIN_BUDGET} evaluations")
     evalJ = _CostCache(model, u0, spec, mesh, budget)
     A0 = model.A0
-    box_times = []
-    if isinstance(spec.weight, BoxWeight):
-        w = spec.weight
-        box_times = [t for t in (w.t2, w.t3, w.t1, w.t4) if 0 < t < T]
+    margin = SWITCH_MARGIN * T
 
     best = None
-    for k in range(0, k_max + 1):
-        for start in (A0, 0.0):
-            other = 0.0 if start == A0 else A0
-            if k == 0:
-                ctrl = Control((0.0, T), (start,))
-                cand = (evalJ(ctrl), ctrl, k, start)
-                if best is None or cand[0] < best[0]:
-                    best = cand
-                continue
-            for seed in _seed_switches(k, T, box_times):
-                s = list(seed)
-                ctrl = _bangbang_control(T, start, other, s)
-                val = evalJ(ctrl)
-                for _ in range(3):  # coordinate-descent sweeps
-                    improved = False
-                    for j in range(k):
-                        if evalJ.exhausted:
-                            break
-                        lo = (s[j - 1] if j > 0 else 0.0) + SWITCH_MARGIN * T
-                        hi = (s[j + 1] if j + 1 < k else T) - SWITCH_MARGIN * T
-                        if hi <= lo:
-                            continue
+    for k, start in itertools.product(range(k_max + 1), (A0, 0.0)):
+        other = 0.0 if start == A0 else A0
 
-                        def coord(x, j=j):
-                            trial = list(s)
-                            trial[j] = x
-                            return evalJ(_bangbang_control(T, start, other, trial))
+        def golden_in_bracket(s, j):
+            lo = (s[j - 1] if j > 0 else 0.0) + margin
+            hi = (s[j + 1] if j + 1 < len(s) else T) - margin
+            if hi <= lo:
+                return s[j], math.inf
 
-                        xb, vb = _golden_min(coord, lo, hi)
-                        if vb < val - 1e-14 * (1.0 + abs(val)):
-                            s[j] = xb
-                            val = vb
-                            improved = True
-                    if not improved or evalJ.exhausted:
-                        break
-                if val < (best[0] if best else math.inf):
-                    best = (val, _bangbang_control(T, start, other, s), k, start)
-            if evalJ.exhausted:
-                break
+            def coord(x):
+                trial = list(s)
+                trial[j] = x
+                return evalJ(_bangbang_control(T, start, other, trial))
+
+            return _golden_min(coord, lo, hi)
+
+        s = [T * (i + 1) / (k + 1) for i in range(k)]
+        s, val = _descend(evalJ, s, evalJ(_bangbang_control(T, start, other, s)),
+                          golden_in_bracket, sweeps=3)
+        if best is None or val < best[0]:
+            best = (val, _bangbang_control(T, start, other, s))
         if evalJ.exhausted:
             break
-    val, ctrl, k, start = best
+    val, ctrl = best
     return OptimizeResult(
         control=ctrl,
         cost=float(val),
@@ -274,35 +250,25 @@ def optimize_relaxed(model, u0, spec: CostSpec, T: float, m_cells: int, budget: 
     def make(vals):
         return clamp_project(vals, A0, T)
 
+    def level_or_golden(vals, j):
+        def coord(x):
+            trial = vals.copy()
+            trial[j] = x
+            return evalJ(make(trial))
+
+        c_floor = coord(A0)
+        c_zero = coord(0.0)
+        xb, vb = _golden_min(coord, A0, 0.0, iters=14)
+        tie = 1e-9 * (1.0 + abs(vb))
+        if c_floor <= vb + tie:
+            return A0, c_floor
+        if c_zero <= vb + tie:
+            return 0.0, c_zero
+        return xb, vb
+
     best = None
     for start_vec in (np.full(m_cells, A0), np.zeros(m_cells), np.full(m_cells, A0 / 2.0)):
-        vals = np.asarray(start_vec, dtype=float).copy()
-        val = evalJ(make(vals))
-        for _ in range(4):
-            improved = False
-            for j in range(m_cells):
-                if evalJ.exhausted:
-                    break
-
-                def coord(x, j=j):
-                    trial = vals.copy()
-                    trial[j] = x
-                    return evalJ(make(trial))
-
-                c_floor = coord(A0)
-                c_zero = coord(0.0)
-                xb, vb = _golden_min(coord, A0, 0.0, iters=14)
-                tie = 1e-9 * (1.0 + abs(vb))
-                if c_floor <= vb + tie:
-                    xb, vb = A0, c_floor
-                elif c_zero <= vb + tie:
-                    xb, vb = 0.0, c_zero
-                if vb < val - 1e-14 * (1.0 + abs(val)):
-                    vals[j] = xb
-                    val = vb
-                    improved = True
-            if not improved or evalJ.exhausted:
-                break
+        vals, val = _descend(evalJ, start_vec, evalJ(make(start_vec)), level_or_golden, sweeps=4)
         if best is None or val < best[0]:
             best = (val, make(vals))
         if evalJ.exhausted:

@@ -3,6 +3,7 @@ import pytest
 
 from junctionflow import Control, Hamiltonian, InitialData, JunctionModel, Mesh
 from junctionflow.functionals import CostSpec, make_box_weight
+from junctionflow.optimizer import optimize_relaxed
 
 T_HORIZON = 6.0
 P_SLOPE = -0.8
@@ -53,6 +54,13 @@ def box_spec(box):
 @pytest.fixture(scope="session")
 def functional_mesh():
     return Mesh.regular(0.08, 0.2, 41, 5.1, 161, tmin=0.9)
+
+
+@pytest.fixture(scope="session")
+def relaxed_result(model, u0, box_spec, functional_mesh):
+    """The relaxed baseline of acceptance criterion 10, run once per session."""
+    return optimize_relaxed(model, u0, box_spec, T_HORIZON, m_cells=8, budget=320,
+                            mesh=functional_mesh)
 
 
 def random_control(rng, a0, T=T_HORIZON, cells=5, times=None):

@@ -25,7 +25,7 @@ from junctionflow.cli import EXIT_OK, main
 from junctionflow.functionals import cost
 from junctionflow.hj_junction import brute_force_field
 from junctionflow.optimality import check_optimality, component_report, dwell_measure
-from junctionflow.optimizer import BangBangPattern, optimize_bangbang, optimize_relaxed, pattern_extract
+from junctionflow.optimizer import BangBangPattern, optimize_bangbang, pattern_extract
 
 from conftest import H_OF_P, P_SLOPE, T_HORIZON, random_control
 
@@ -57,12 +57,6 @@ def repro_runs(tmp_path_factory):
 def bb_result(model, u0, box_spec, functional_mesh):
     return optimize_bangbang(model, u0, box_spec, T_HORIZON, k_max=4, budget=420,
                              mesh=functional_mesh)
-
-
-@pytest.fixture(scope="session")
-def relaxed_result(model, u0, box_spec, functional_mesh):
-    return optimize_relaxed(model, u0, box_spec, T_HORIZON, m_cells=8, budget=320,
-                            mesh=functional_mesh)
 
 
 @pytest.fixture(scope="session")

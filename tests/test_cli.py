@@ -121,9 +121,19 @@ class TestRunOptions:
         ("cost", "initial_data", "allow_boundary_slopes", '"no"'),
         ("cost", "control", "times", '["0", "6"]'),
         ("cost", "functional.box", "x1", "true"),
+        ("optimize", "optimizer", "horizon", "inf"),
+        ("optimize", "optimizer", "horizon", "nan"),
+        ("reproduce-prop511", "optimizer", "horizon", "nan"),
+        ("cost", "mesh", "xmax", "inf"),
+        ("solve", "mesh", "xmin", "nan"),
+        ("cost", "functional", "linear_coeff", "inf"),
+        ("cost", "functional", "linear_coeff", "nan"),
+        ("crosscheck", "crosscheck", "l1_tol", "nan"),
+        ("crosscheck", "crosscheck", "xmin", "-inf"),
+        ("cost", "control", "times", "[0.0, 1.5, inf]"),
     ])
     def test_bad_entry_exits_2_before_any_work(self, tmp_path, capsys, command, table, entry, bad):
-        base = {"reproduce-prop511": {}, "crosscheck": solve_config(),
+        base = {"reproduce-prop511": {}, "crosscheck": solve_config(), "solve": solve_config(),
                 "optimize": dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH),
                 "cost": dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH)}[command]
         block = base = copy.deepcopy(base)
@@ -135,6 +145,8 @@ class TestRunOptions:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert f"config error: config entry [{table}.{entry}]" in err
+        if "inf" in bad or "nan" in bad:
+            assert "must be a finite number" in err
         assert "J(" not in out
 
     @pytest.mark.parametrize("bad", ["0", "x"])

@@ -227,12 +227,21 @@ class TestComponentReport:
         assert rep.tau == pytest.approx(1.5, abs=0.05)
         assert rep.s_bar_minus == pytest.approx(0.0, abs=1e-9)
 
-    def test_theta_nesting(self, model, u0, switching, functional_mesh):
-        rep1 = component_report(model, u0, switching, functional_mesh, theta=1e-4)
-        rep2 = component_report(model, u0, switching, functional_mesh, theta=2e-4)
-        assert len(rep2.components) <= len(rep1.components)
-        for (a2, b2) in rep2.components:
-            assert any(a1 <= a2 and b2 <= b1 + 1e-9 for (a1, b1) in rep1.components)
+    def test_theta_nesting(self, model, u0, switching):
+        # the runs at a larger threshold nest in the runs at a smaller one
+        rng = np.random.default_rng(6)
+        ts = np.linspace(0.0, T_HORIZON, 513)[1:]
+        free = Control((0.0, T_HORIZON), (model.A0,))
+        counts = set()
+        for A in [switching] + [random_control(rng, model.A0, cells=6) for _ in range(8)]:
+            gap = junction_values(model, u0, free, ts) - junction_values(model, u0, A, ts)
+            runs1 = optimality._components(ts, gap, 1e-4)
+            runs2 = optimality._components(ts, gap, 2e-4)
+            assert len(runs2) <= len(runs1)
+            for (a2, b2) in runs2:
+                assert any(a1 <= a2 and b2 <= b1 + 1e-9 for (a1, b1) in runs1)
+            counts.add(len(runs1))
+        assert counts >= {1, 2}
 
     def test_on_gap_complement_control_is_free(self, model, u0, switching,
                                                functional_mesh, box_spec):

@@ -21,6 +21,11 @@ def small_mesh():
     return Mesh.regular(0.08, 0.2, 21, 5.1, 81, tmin=0.9)
 
 
+@pytest.fixture(scope="module")
+def box_run(model, u0, box_spec, small_mesh):
+    return optimize_bangbang(model, u0, box_spec, T_HORIZON, 2, 260, small_mesh)
+
+
 def signed_spec(box, mesh, sign):
     phi = box.phi_grid(mesh)
     vals = np.maximum(phi, 0.0) if sign > 0 else np.minimum(phi, 0.0)
@@ -67,6 +72,18 @@ class TestBangBang:
         assert res.evals <= 55
         assert np.isfinite(res.cost)
 
+    def test_weight_type_does_not_steer_the_search(self, model, u0, box, small_mesh, box_run):
+        sampled = CostSpec(SampledWeight(small_mesh.xs, small_mesh.ts, box.phi_grid(small_mesh)))
+        res = optimize_bangbang(model, u0, sampled, T_HORIZON, 2, 260, small_mesh)
+        assert res.cost == box_run.cost
+        assert res.control == box_run.control
+        assert res.evals == box_run.evals
+        assert res.history == box_run.history
+
+    def test_canonical_box_run_stops_within_its_budget(self, box_run):
+        assert not box_run.budget_exhausted
+        assert box_run.evals < 260
+
     def test_validation(self, model, u0, box_spec, small_mesh):
         with pytest.raises(OptimizerError):
             optimize_bangbang(model, u0, box_spec, T_HORIZON, 0, 60, small_mesh)
@@ -92,6 +109,17 @@ class TestRelaxed:
         int_a, int_sa = res.integrals()
         assert int_a == pytest.approx(model.A0 * T_HORIZON, abs=1e-5)
         assert int_sa == pytest.approx(model.A0 * T_HORIZON**2 / 2, abs=1e-4)
+
+
+    def test_criterion_10_run_switches_once_and_beats_both_constants(
+            self, model, u0, box_spec, functional_mesh, free_flow, blocked, relaxed_result):
+        # a coordinate step that compares the levels with an interior golden
+        # minimum, not with its end probes, leaves this run at free flow
+        margin = 1e-4 * abs(relaxed_result.cost)
+        for const in (free_flow, blocked):
+            assert relaxed_result.cost < cost(model, u0, box_spec, const, functional_mesh) - margin
+        pat = pattern_extract(relaxed_result, model.A0)
+        assert isinstance(pat, BangBangPattern) and pat.k == 1
 
 
 class TestPatternExtract:
