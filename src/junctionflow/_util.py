@@ -1,5 +1,5 @@
-"""Small shared helpers: JSON hygiene, the one CSV writer and an unused
-order-preserving map."""
+"""Small shared helpers: JSON hygiene, the one CSV writer, a sorted
+dedupe and an unused order-preserving map."""
 
 from __future__ import annotations
 
@@ -12,6 +12,12 @@ import numpy as np
 def parallel_starmap(fn, arg_tuples):
     """Apply fn over argument tuples, results in input order, in this process."""
     return [fn(*args) for args in arg_tuples]
+
+
+def sorted_unique(values) -> np.ndarray:
+    """np.unique of a float array, bitwise, without the numpy.ma import that
+    np.unique triggers on its first call."""
+    return np.array(sorted(set(np.ravel(values).tolist())), dtype=float)
 
 
 def write_csv(path, header, *columns):

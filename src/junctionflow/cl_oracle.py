@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import sorted_unique, write_csv
 from .controls import Control
 from .flux_models import Hamiltonian, JunctionModel, ModelError, flux_branches
 from .hj_junction import Mesh, SolverError, value_grid
@@ -120,7 +120,7 @@ def solve_cl(
 
     dx = np.diff(faces)
     dt_max = cfl * dx.min() / max(model.left.max_wave_speed, model.right.max_wave_speed)
-    stops = np.unique(np.concatenate([times, [s for s in A.times if s <= times[-1]]]))
+    stops = sorted_unique(np.concatenate([times, [s for s in A.times if s <= times[-1]]]))
     out = np.empty((len(rho), len(times)))
     out[:, 0] = rho
     snap = 1

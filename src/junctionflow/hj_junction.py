@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import sorted_unique, write_csv
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel, ModelError
 
@@ -250,7 +250,7 @@ class Evaluator:
         run = np.minimum.accumulate(mu[order])
         drop = np.concatenate([[True], run[1:] < run[:-1]])
         ra, rm = arg[order][drop], run[drop]
-        z = np.unique(np.concatenate([ra, A.times]))
+        z = sorted_unique(np.concatenate([ra, A.times]))
         z = z[z >= ra[0]]
         zl, zh = (z, z) if len(z) == 1 else (z[:-1], z[1:])
         j = np.searchsorted(ra, zl, side="right") - 1
@@ -467,7 +467,8 @@ def _grid_block(ev: Evaluator, xs, ts_block):
     return out
 
 
-def _check_mesh(mesh: Mesh, A: Control):
+def check_mesh(mesh: Mesh, A: Control):
+    """Reject a mesh that runs past the control horizon or has negative times."""
     if mesh.ts[-1] > A.horizon + 1e-12:
         raise SolverError("mesh extends beyond the control horizon")
     if mesh.ts[0] < 0:
@@ -477,7 +478,7 @@ def _check_mesh(mesh: Mesh, A: Control):
 def value_grid(model, u0, A, mesh: Mesh) -> ValueField:
     """u^A on the mesh."""
     ev = Evaluator(model, u0, A)
-    _check_mesh(mesh, A)
+    check_mesh(mesh, A)
     u = _grid_block(ev, mesh.xs, mesh.ts)
     return ValueField(mesh.xs, mesh.ts, u)
 
@@ -498,7 +499,7 @@ def trajectory_field(model, u0, A, mesh: Mesh, select: str):
     node's result does not depend on its block.
     """
     ev = Evaluator(model, u0, A)
-    _check_mesh(mesh, A)
+    check_mesh(mesh, A)
     X, T = (g.ravel() for g in np.meshgrid(mesh.xs, mesh.ts, indexing="ij"))
     out = dict(is_dwell=np.zeros(X.size, dtype=bool), a=np.full(X.size, np.nan),
                b=np.full(X.size, np.nan), value=np.asarray(u0.eval(X), dtype=float))
@@ -614,7 +615,7 @@ def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None):
     if not domain[0] < 0.0 < domain[1]:
         raise SolverError(f"DP domain ({domain[0]}, {domain[1]}) must contain x = 0 in its interior")
     Hl, Hr = model.left, model.right
-    nodes = np.unique(np.concatenate([np.linspace(domain[0], domain[1], nx), [0.0]]))
+    nodes = sorted_unique(np.concatenate([np.linspace(domain[0], domain[1], nx), [0.0]]))
     iz = int(np.searchsorted(nodes, 0.0))
     ts = np.linspace(0.0, t, nt + 1)
     dt = ts[1] - ts[0]

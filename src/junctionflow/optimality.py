@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._util import sorted_unique
 from .controls import Control
 from .functionals import BoxWeight, CostSpec, quadrature
 from .hj_junction import (
@@ -121,8 +122,7 @@ def component_report(model, u0, A, mesh: Mesh, spec: Optional[CostSpec] = None,
     """
     T = A.horizon
     inner = [s for s in A.times if 0.0 < s < T]
-    ts = np.unique(np.concatenate([np.linspace(0.0, T, 513)[1:], inner])) if inner else \
-        np.linspace(0.0, T, 513)[1:]
+    ts = sorted_unique(np.concatenate([np.linspace(0.0, T, 513)[1:], inner]))
     u_bar = junction_values(model, u0, A, ts)
     free = Control((0.0, T), (model.A0,))
     u_free = junction_values(model, u0, free, ts)

@@ -8,6 +8,10 @@ from junctionflow.optimizer import optimize_relaxed
 T_HORIZON = 6.0
 P_SLOPE = -0.8
 H_OF_P = -0.16  # H(p) = p (p + 1) at p = -0.8
+# a convex tabulated H on [-1, 0], not quadratic between its samples
+TAB = Hamiltonian(R=1.0, kind="tabulated", samples=tuple(
+    (p, -0.3 * p**3 + 0.7 * p**2 + p if -1.0 < p < 0.0 else 0.0)
+    for p in np.round(np.linspace(-1.0, 0.0, 11), 12)))
 
 
 @pytest.fixture(scope="session")

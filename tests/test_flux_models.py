@@ -11,6 +11,8 @@ from junctionflow import (
     flux_branches,
 )
 
+from conftest import TAB
+
 
 def numeric_conjugate(H, alpha, n=100_000):
     """Brute sup over a dense p-grid; the independent oracle for L."""
@@ -130,11 +132,6 @@ class TestTabulated:
         h = p * (p + 1.0) + 0.01
         with pytest.raises(ModelError):
             Hamiltonian(R=1.0, kind="tabulated", samples=tuple(zip(p, h)))
-
-
-TAB_P = np.round(np.linspace(-1.0, 0.0, 11), 12)
-TAB = Hamiltonian(R=1.0, kind="tabulated", samples=tuple(
-    (p, -0.3 * p**3 + 0.7 * p**2 + p if -1.0 < p < 0.0 else 0.0) for p in TAB_P))
 
 
 class TestLevelSpeed:

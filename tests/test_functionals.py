@@ -1,19 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from junctionflow import Control, Hamiltonian, InitialData, JunctionModel, Mesh, value_grid
+from junctionflow.flux_models import ModelError
 from junctionflow.functionals import (
     BoxWeight,
     CostSpec,
     FunctionalError,
     SampledWeight,
     cost,
+    cost_report,
     cost_weighted_density,
     field_term,
     make_box_weight,
 )
+from junctionflow.hj_junction import SolverError
 
-from conftest import T_HORIZON, random_control, trapezoid
+from conftest import TAB, T_HORIZON, asym_case, random_control, trapezoid
+
+_QUAD = Hamiltonian(R=1.0)
+_ASYM, _ASYM_U0 = asym_case()
+# symmetric, asymmetric (4-piece datum and one slope) and tabulated models
+SUPPORT_CASES = [
+    (JunctionModel(_QUAD, _QUAD, equal_minima=True), InitialData((), (-0.8,), capacities=(1.0, 1.0))),
+    (_ASYM, _ASYM_U0),
+    (_ASYM, InitialData((), (-0.8,), capacities=(1.0, 2.0))),
+    (JunctionModel(TAB, TAB, equal_minima=True), InitialData((), (-0.8,), capacities=(1.0, 1.0))),
+]
+SUPPORT_MESH = Mesh.regular(0.02, 0.5, 25, 5.7, 41, tmin=0.3)
 
 
 class TestBoxWeight:
@@ -149,6 +165,77 @@ class TestCost:
             vals = rng.uniform(model.A0, 0.0, 4)
             others.append(cost(model, u0, spec, Control(times, tuple(vals)), functional_mesh))
         assert j_blocked <= min(others) + 1e-12
+
+
+class TestSupportSubMesh:
+    """cost evaluates u only where phi is nonzero; J stays the full-mesh sum bitwise."""
+
+    @staticmethod
+    def full_mesh_term(model, u0, spec, A, mesh):
+        return field_term(spec, value_grid(model, u0, A, mesh))
+
+    @given(case=st.integers(0, len(SUPPORT_CASES) - 1), seed=st.integers(0, 2**32 - 1),
+           cells=st.integers(1, 5), rows=st.tuples(st.integers(1, 23), st.integers(0, 4)),
+           inset=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+           times=st.lists(st.floats(0.45, 5.55), min_size=4, max_size=4, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_box_weight_bitwise(self, case, seed, cells, rows, inset, times):
+        model, u0 = SUPPORT_CASES[case]
+        xs, dx = SUPPORT_MESH.xs, SUPPORT_MESH.xs[1] - SUPPORT_MESH.xs[0]
+        lo, width = rows
+        hi = min(lo + width, len(xs) - 2)  # width 0: the box spans a single mesh row
+        t1, t2, t3, t4 = sorted(times)
+        gap = min(t2 - t1, t3 - t2, t4 - t3)
+        assume(gap > 0.05)
+        x1, x2 = xs[lo] - inset[0] * dx, xs[hi] + inset[1] * dx
+        spec = CostSpec(make_box_weight(x1, x2, t1, t2, t3, t4, min(x2 - x1, gap) / 8.0))
+        rows = np.flatnonzero(spec.weight.phi_grid(SUPPORT_MESH).any(axis=1)).tolist()
+        assert rows in ([], list(range(lo, hi + 1)))  # empty: no mesh time inside a ramp
+        A = random_control(np.random.default_rng(seed), model.A0, cells=cells)
+        jf = cost_report(model, u0, spec, A, SUPPORT_MESH)["J_field_term"]
+        assert jf == self.full_mesh_term(model, u0, spec, A, SUPPORT_MESH)
+
+    @given(case=st.integers(0, len(SUPPORT_CASES) - 1), seed=st.integers(0, 2**32 - 1),
+           cells=st.integers(1, 5), density=st.floats(0.0, 0.3))
+    @settings(max_examples=30, deadline=None)
+    def test_scattered_sampled_weight_bitwise(self, case, seed, cells, density):
+        # a support that is no tensor product: u is drawn on its rows x columns
+        model, u0 = SUPPORT_CASES[case]
+        rng = np.random.default_rng(seed)
+        shape = (len(SUPPORT_MESH.xs), len(SUPPORT_MESH.ts))
+        phi = np.zeros(shape)
+        inner = rng.random((shape[0] - 2, shape[1] - 2)) < density
+        phi[1:-1, 1:-1] = np.where(inner, rng.normal(size=inner.shape), 0.0)
+        spec = CostSpec(SampledWeight(SUPPORT_MESH.xs, SUPPORT_MESH.ts, phi))
+        A = random_control(rng, model.A0, cells=cells)
+        jf = cost_report(model, u0, spec, A, SUPPORT_MESH)["J_field_term"]
+        assert jf == self.full_mesh_term(model, u0, spec, A, SUPPORT_MESH)
+
+    def test_mesh_past_the_horizon_raises_with_the_box_before_it(self, model, u0, box_spec):
+        mesh = Mesh.regular(0.08, 0.2, 13, 6.5, 41, tmin=0.9)
+        A = Control((0.0, T_HORIZON), (0.0,))
+        assert box_spec.weight.phi_grid(mesh)[:, mesh.ts > 5.0].max() == 0.0
+        with pytest.raises(SolverError, match="beyond the control horizon"):
+            cost(model, u0, box_spec, A, mesh)
+
+    def test_negative_mesh_times_raise(self, model, u0, box_spec):
+        mesh = Mesh.regular(0.08, 0.2, 13, 5.1, 41, tmin=-0.5)
+        with pytest.raises(SolverError, match="nonnegative"):
+            cost(model, u0, box_spec, Control((0.0, T_HORIZON), (0.0,)), mesh)
+
+    def test_out_of_range_control_raises_under_a_zero_weight(self, model, u0):
+        mesh = Mesh.regular(0.0, 0.3, 11, 6.0, 13)
+        spec = CostSpec(SampledWeight(mesh.xs, mesh.ts, np.zeros((11, 13))))
+        with pytest.raises(SolverError, match="control values"):
+            cost(model, u0, spec, Control((0.0, T_HORIZON), (model.A0 - 0.1,)), mesh)
+
+    @pytest.mark.parametrize("zero_weight", [False, True], ids=["box", "zero"])
+    def test_capacity_mismatch_raises(self, model, box_spec, functional_mesh, zero_weight):
+        u0 = InitialData((), (-0.8,), capacities=(1.0, 2.0))
+        spec = CostSpec(SampledWeight(functional_mesh.xs, functional_mesh.ts,
+                                      np.zeros((41, 161)))) if zero_weight else box_spec
+        with pytest.raises(ModelError, match="capacities"):
+            cost(model, u0, spec, Control((0.0, T_HORIZON), (0.0,)), functional_mesh)
 
 
 class TestWeightedDensity:
