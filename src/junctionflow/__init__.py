@@ -22,7 +22,6 @@ from .hj_junction import (
     SolverError,
     TrajectoryDescriptor,
     ValueField,
-    brute_force_value,
     gradient_audit,
     junction_values,
     optimal_trajectory,
@@ -44,7 +43,6 @@ __all__ = [
     "SolverError",
     "TrajectoryDescriptor",
     "ValueField",
-    "brute_force_value",
     "clamp_project",
     "flux_branches",
     "gradient_audit",

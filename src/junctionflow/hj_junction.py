@@ -22,7 +22,9 @@ clipped to the segment; on a fan segment approach and exit share one flux
 level H(p), bisected until its bracket is one ulp wide. Every candidate is
 a true path cost and every minimization is exact, so the value is the
 infimum up to rounding. Tie selection reads its band edges from the same
-segments.
+pieces: times the leg's duration the band test is a quadratic on each leg
+branch and piece, so each edge is a root in closed form (bisected only on
+fan segments, whose test holds two legs).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import numpy as np
 
 from ._util import sorted_unique, write_csv
 from .controls import Control
-from .flux_models import Hamiltonian, InitialData, JunctionModel, ModelError
+from .dp_oracle import _dp_domain, _dp_side_step, _exit_legs
+from .flux_models import InitialData, JunctionModel, ModelError
 
 MOST_AT_ZERO = "MostAtZero"
 LEAST_AT_ZERO = "LeastAtZero"
@@ -43,7 +46,6 @@ TIE_SCALE = 1e-8
 CONTROL_RANGE_TOL = 1e-9
 _BLOCK = 1 << 18  # node-by-segment elements per block of rows in dwell_batch
 _SELECT_BLOCK = 1 << 14  # node-by-piece elements per block of nodes in trajectory_field
-_EXIT_BLOCK = 1 << 15  # node-by-column elements per block of nodes in _exit_legs
 
 
 class SolverError(ValueError):
@@ -87,20 +89,6 @@ class TrajectoryDescriptor:
     @property
     def dwells(self) -> bool:
         return self.kind == "dwell"
-
-    def recompute_cost(self, model: JunctionModel, u0: InitialData, A: Control) -> float:
-        """Re-assemble the path cost from its parts."""
-        if self.kind == "straight":
-            H = model.side(self.y if self.x == 0 else self.x)
-            return float(H.leg_cost(self.x - self.y, self.t) + u0.eval(self.y))
-        first = 0.0 if self.a == 0 else float(
-            model.side(self.y).leg_cost(-self.y, self.a) + u0.eval(self.y)
-        )
-        stay = -(A.cumulative(self.b) - A.cumulative(self.a))
-        last = 0.0 if self.b == self.t else float(
-            model.side(self.x).leg_cost(self.x, self.t - self.b)
-        )
-        return first + stay + last
 
 
 @dataclass(frozen=True)
@@ -188,15 +176,17 @@ class Evaluator:
         return self.straight_value(np.zeros_like(a), a, need_y)
 
     def exit_cost(self, x, t, b):
-        """W(b): exit leg (0, b) -> (x, t); for x = 0 only b = t is admissible."""
-        x, t, b = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(t, dtype=float), np.asarray(b, dtype=float)
-        )
-        s = t - b
-        wl = self.model.left.leg_cost(x, s)
-        wr = self.model.right.leg_cost(x, s)
-        w = np.where(x < 0, wl, wr)
-        return np.where(x == 0, np.where(s == 0.0, 0.0, np.inf), w)
+        """W(b): exit leg (0, b) -> (x, t), priced on x's side only; for x = 0
+        only b = t is admissible."""
+        x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float) - b)
+        sides = ((self.model.left, x < 0), (self.model.right, x > 0))
+        for H, on in sides:
+            if on.all():  # one side: no gather
+                return H.leg_cost(x, s)
+        w = np.where(s == 0.0, 0.0, np.inf)
+        for H, on in sides:
+            w[on] = H.leg_cost(x[on], s[on])
+        return w
 
     # ---- junction trace ------------------------------------------------------
 
@@ -371,9 +361,10 @@ class Evaluator:
         a tied straight line, LeastAtZero maximizes a and prefers a tied
         straight line. The b-edge is the furthest end of the band over the
         trace segments, the a-edge the extreme end of {G + I <= budget} over
-        the pieces of G + I. Returns per-node arrays (is_dwell, a, b, value),
-        a and b NaN on straight paths, then the selected path's first-leg
-        start y and cost.
+        the pieces of G + I, each a root in closed form where the test holds
+        at most one leg (_edges). Returns per-node arrays (is_dwell, a, b,
+        value), a and b NaN on straight paths, then the selected path's
+        first-leg start y and cost.
         """
         if select not in (MOST_AT_ZERO, LEAST_AT_ZERO):
             raise SolverError(f"unknown selector {select!r}")
@@ -391,23 +382,84 @@ class Evaluator:
         end = np.minimum(S["hi"], t[:, None]) + np.zeros_like(b)
         end = np.where((x[:, None] != 0) & (end >= t[:, None]),  # exits take time
                        np.nextafter(t, -np.inf)[:, None], end)
-        edges = _edges(lambda i, j, z: (S["lo"][j] <= z)
-                       & (self._piece(S, j, z) + self.exit_cost(x[i], t[i], z) <= thresh[i]),
-                       b, end, -np.inf)
+        edges = self._edges(lambda i, j, z: (S["lo"][j] <= z)
+                            & (self._piece(S, j, z) + self.exit_cost(x[i], t[i], z) <= thresh[i]),
+                            b, end, -np.inf, lambda i, j: (  # the exit leg; fans add another
+                                np.where(S["side"][j] != 0, np.nan, np.sign(x[i])), x[i],
+                                S["c"][j] + S["v"][j] * t[i] - thresh[i], -S["v"][j], t[i], -1))
         j, b_sel = np.argmax(edges, axis=1), np.max(edges, axis=1)
+        del b, cost, end, edges  # node-by-segment arrays, not needed for the a-edge
         b_sel = np.where(np.isfinite(b_sel), b_sel, t)  # no dwell path in the band
         psi = self.exit_cost(x, t, b_sel) - self.A.cumulative(b_sel)
         hi = np.minimum(P["hi"], b_sel[:, None])
-        ends = _edges(lambda i, j, z: (P["lo"][j] <= z) & (z <= b_sel[i])
-                      & (self._piece(P, j, z) <= thresh[i] - psi[i]),
-                      np.clip(P["arg"], P["lo"], hi), P["lo"] + 0.0 * hi if most else hi,
-                      np.inf if most else -np.inf)
+        ends = self._edges(lambda i, j, z: (P["lo"][j] <= z) & (z <= b_sel[i])
+                           & (self._piece(P, j, z) <= thresh[i] - psi[i]),
+                           np.clip(P["arg"], P["lo"], hi), P["lo"] + 0.0 * hi if most else hi,
+                           np.inf if most else -np.inf,  # a leg from a kink, or none
+                           lambda i, j: (P["side"][j], -P["e"][j], P["c"][j] - (thresh - psi)[i],
+                                         P["v"][j], 0, 1))
         a_sel = ends.min(axis=1) if most else ends.max(axis=1)
         a_fb = np.fmin(S["a"][j], b_sel)  # the start of the segment's own path
         a_sel, y, g = self._dwell_start(np.where(np.isfinite(a_sel), a_sel, a_fb))
         cost_sel = g + self.A.cumulative(a_sel) + psi
         return (use_dwell, np.where(use_dwell, a_sel, np.nan), np.where(use_dwell, b_sel, np.nan),
                 v, np.where(use_dwell, y, y1), np.where(use_dwell, cost_sel, f1))
+
+    def _edges(self, ok, good, end, fill, lane):
+        """Per (node, piece): the end of {ok} reaching toward end on a convex piece.
+
+        ok(i, j, z) tests point z of piece j for node i. Where ok holds at end
+        that is the edge; where it holds only at good (the piece minimizer) it
+        is the crossing between them; elsewhere it is fill. lane(i, j) returns
+        (side, dx, c, v, o, r), the test as c + v u + leg(dx, u) <= 0 in the
+        leg duration u = r (z - o), the leg on side -1 or 1 (0: no leg; NaN:
+        two legs, bisected); c and v are fresh arrays, used in place. Times u
+        the test is a quadratic in u on each branch and piece of the leg: the
+        leg's knots bracket the crossing, its stable root is clipped into the
+        bracket, and doubling steps back toward good keep ok at the edge.
+        """
+        i, j = np.indices(good.shape, sparse=True)
+        at_end, at_good = ok(i, j, end), ok(i, j, good)
+        edge = np.where(at_end, end, np.where(at_good, good, fill))
+        ii, jj = np.nonzero(at_good & ~at_end)
+        if not len(ii):
+            return edge
+        zg, zb = good[ii, jj], end[ii, jj]  # ok holds at zg and fails at zb
+        step = np.spacing(np.maximum(np.abs(zg), np.abs(zb)))
+        side, dx, k1, k2, o, r = lane(ii, jj)  # u times the test is k2 u^2 + k1 u + k0
+        two = np.isnan(side)
+        k0 = np.zeros(len(ii))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, H in ((-1, self.model.left), (1, self.model.right)):
+                m, (c1, c2), (sig, h0) = side == s, H._table[3:], H._at_zero
+                for kn in np.append(c1, H.dh0):  # leg slopes at its branch and piece ends
+                    z = o + r * dx / kn
+                    at = m & (dx * kn > 0) & ((z - zg) * (zb - z) > 0)
+                    if at.any():
+                        hit = ok(ii, jj, np.where(at, z, zg))
+                        zg, zb = np.where(at & hit, z, zg), np.where(at & ~hit, z, zb)
+                d, u = dx[m], (r * (0.5 * (zg + zb) - o))[m]  # the leg at mid-bracket
+                p = np.searchsorted(c1[1:], d / u, side="right")
+                mid = (d > H.dhr * u) & (d < H.dh0 * u)  # else W = 0 or -R dx
+                k2[m] += np.where(mid, sig[p] ** 2 / (4 * c2[p]) - h0[p], 0)
+                k1[m] += np.where(mid, -d * sig[p] / (2 * c2[p]), -H.R * np.minimum(d, 0))
+                k0[m] = np.where(mid, d * d / (4 * c2[p]), 0)
+            q = -0.5 * (k1 + np.copysign(np.sqrt(np.maximum(k1 * k1 - 4 * k2 * k0, 0)), k1))
+            roots = o + r * np.array([q / k2, k0 / q])  # each root in its stable form
+        lo, hi = np.minimum(zg, zb), np.maximum(zg, zb)
+        near = np.nan_to_num(np.abs(roots - 0.5 * (lo + hi)), nan=np.inf)
+        z = roots[np.argmin(near, axis=0), np.arange(len(ii))]
+        z = np.where(np.isfinite(z), np.clip(z, lo, hi), zg)
+        del side, dx, k0, k1, k2, o, q, roots, near  # fewer live arrays in the checks below
+        if two.any():
+            z[two] = _bisect(lambda y: ok(ii[two], jj[two], y), zg[two], zb[two])
+        bad = ~ok(ii, jj, z)
+        while bad.any():
+            z = np.where(bad, np.clip(z + np.sign(zg - zb) * step, lo, hi), z)
+            step *= 2
+            bad &= ~ok(ii, jj, z)
+        edge[ii, jj] = z
+        return edge
 
 
 def _bisect(ok, good, bad):
@@ -426,24 +478,6 @@ def _bisect(ok, good, bad):
         hit = ok(mid)
         good = np.where(live & hit, mid, good)
         bad = np.where(live & ~hit, mid, bad)
-
-
-def _edges(ok, good, end, fill):
-    """Per (node, piece): the end of {ok} reaching toward end on a convex piece.
-
-    ok(i, j, z) tests point z of piece j for node i. Where ok holds at end
-    that is the edge; where it holds only at good (the piece minimizer) the
-    edge is bisected between them; elsewhere it is fill.
-    """
-    i, j = np.indices(good.shape)
-    at_end = ok(i, j, end)
-    at_good = ok(i, j, good)
-    edge = np.where(at_end, end, np.where(at_good, good, fill))
-    inner = at_good & ~at_end
-    if inner.any():
-        ii, jj = i[inner], j[inner]
-        edge[inner] = _bisect(lambda z: ok(ii, jj, z), good[inner], end[inner])
-    return edge
 
 
 # ---- module-level operations -------------------------------------------------
@@ -512,85 +546,6 @@ def trajectory_field(model, u0, A, mesh: Mesh, select: str):
     return {key: v.reshape(len(mesh.xs), len(mesh.ts)) for key, v in out.items()}
 
 
-def _dp_side_step(H: Hamiltonian, nodes, dt):
-    """The backward step on one side, as a function of the side's node values V.
-
-    The step value at each node x is min_y [V~(y) + leg(x - y, dt)] over the
-    side's nodes' span, with V~ the linear interpolant of V. The leg costs 0
-    for y <= x - dh0 dt and R (y - x) for y >= x - dhr dt; V~ is linear between
-    nodes, so on these two outer regions the minimum is reached at a node: a
-    running minimum of V on the left, of V + R y, less R x, on the right. Only
-    the cells that meet [x - dh0 dt, x - dhr dt] take the per-cell minimum,
-    which is exact because the objective is convex in y on each cell; where
-    V's slope on a cell leaves [-R, 0] the cell's minimum sits at a node that
-    the running minima hold. So no assumption on V's slopes is needed. The
-    cell indices depend only on the nodes and dt and are built once.
-    """
-    x, free, steep = nodes[:, None], nodes - H.dh0 * dt, nodes - H.dhr * dt
-    n_left = np.searchsorted(nodes, free, side="right")  # nodes[:n_left] <= x - dh0 dt
-    n_right = np.searchsorted(nodes, steep, side="left")  # nodes[n_right:] >= x - dhr dt
-    first = np.searchsorted(nodes[1:], free, side="left")  # cells meeting the middle
-    last = np.searchsorted(nodes[:-1], steep, side="right") - 1
-    cell = np.minimum(first[:, None] + np.arange(np.max(last - first) + 1), last[:, None])
-    lo, hi = nodes[cell], nodes[cell + 1]
-
-    def step(V):
-        alpha = H.slope_for_cost_slope(np.diff(V) / np.diff(nodes))
-        y = np.clip(x - dt * alpha[cell], lo, hi)
-        w = (y - lo) / (hi - lo)  # in [0, 1]: the interpolant keeps the sign of V
-        mid = np.min((1.0 - w) * V[cell] + w * V[cell + 1] + H.leg_cost(x - y, dt), axis=1)
-        left = np.concatenate([[np.inf], np.minimum.accumulate(V)])[n_left]
-        right = np.concatenate([np.minimum.accumulate((V + H.R * nodes)[::-1])[::-1], [np.inf]])
-        return np.minimum(mid, np.minimum(left, right[n_right] - H.R * nodes))
-
-    return step
-
-
-def _exit_legs(H: Hamiltonian, xs, ts, a):
-    """E[i, k] = min over j < k of a[j] + leg(xs[i], ts[k] - ts[j]), inf at k = 0.
-
-    For fixed x the leg cost is convex in its duration, being the perspective
-    of the convex L, so the matrix a[j] + leg(x, ts[k] - ts[j]) is Monge and
-    each row's leftmost argmin is nondecreasing in k. Rows go coarse to fine
-    (divide and conquer): a row scans only the columns between the argmins
-    of its nearest rows already solved, O(log len(ts)) scans of the trace per
-    node. Nodes go in blocks that keep the temporaries small.
-    """
-    n = len(ts) - 1
-    E = np.full((len(xs), n + 1), np.inf)
-    block = max(1, _EXIT_BLOCK // (2 * n + 1))
-    for b in range(0, len(xs), block):
-        x = xs[b : b + block, None]
-        arg = np.zeros((len(x), n + 2), dtype=np.intp)  # sentinel rows 0 and n + 1
-        arg[:, -1] = n - 1
-        s = 1 << (n.bit_length() - 1)
-        while s:
-            rows = np.arange(s, n + 1, 2 * s)
-            jlo = arg[:, rows - s]
-            jhi = np.minimum(arg[:, np.minimum(rows + s, n + 1)], rows - 1)
-            jhi = np.maximum(jhi, jlo)  # rounding may break the order near ties
-            cnt = (jhi - jlo + 1).ravel()
-            start = np.cumsum(cnt) - cnt
-            j = np.arange(start[-1] + cnt[-1]) - np.repeat(start - jlo.ravel(), cnt)
-            k = np.repeat(np.broadcast_to(rows, jlo.shape).ravel(), cnt)
-            vals = a[j] + H.leg_cost(np.repeat(np.broadcast_to(x, jlo.shape).ravel(), cnt),
-                                     ts[k] - ts[j])
-            best = np.minimum.reduceat(vals, start)
-            hit = np.where(vals == np.repeat(best, cnt), np.arange(len(vals)), len(vals))
-            arg[:, rows] = j[np.minimum.reduceat(hit, start)].reshape(jlo.shape)  # leftmost
-            E[b : b + block, rows] = best.reshape(jlo.shape)
-            s >>= 1
-    return E
-
-
-def _dp_domain(model, t, x=0.0):
-    """The DP lattice span: 0 and x, widened by 1.05 times the fastest
-    characteristic reach over time t on each side."""
-    reach_l = max(model.left.dh0, model.right.dh0)
-    reach_r = max(-model.left.dhr, -model.right.dhr)
-    return (min(0.0, x) - 1.05 * reach_l * t, max(0.0, x) + 1.05 * reach_r * t)
-
-
 def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None):
     """DP oracle on the whole lattice: (nodes, times, V), V[i, k] ~ u(nodes[i], times[k]).
 
@@ -637,14 +592,6 @@ def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None):
     out[:iz] = np.minimum(out[:iz], _exit_legs(Hl, nodes[:iz], ts, out[iz]))
     out[iz + 1 :] = np.minimum(out[iz + 1 :], _exit_legs(Hr, nodes[iz + 1 :], ts, out[iz]))
     return nodes, ts, out
-
-
-def brute_force_value(model, u0, A, x, t, lattice=(200, 200)) -> float:
-    """Independent lattice-path oracle for a single point: lattice paths plus one
-    exact straight exit leg from the junction node, first-order accurate; see
-    brute_force_field."""
-    nodes, _, V = brute_force_field(model, u0, A, t, lattice, domain=_dp_domain(model, t, x))
-    return float(np.interp(float(x), nodes, V[:, -1]))
 
 
 def junction_values(model, u0, A, ts):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from junctionflow import Control, Hamiltonian, InitialData, JunctionModel, Mesh
+from junctionflow.dp_oracle import _dp_domain
 from junctionflow.functionals import CostSpec, make_box_weight
+from junctionflow.hj_junction import brute_force_field
 from junctionflow.optimizer import optimize_relaxed
 
 T_HORIZON = 6.0
@@ -88,3 +90,21 @@ def asym_case():
     model = JunctionModel(Hamiltonian(R=1.0, kappa=1.0), Hamiltonian(R=2.0, kappa=0.5))
     u0 = InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -1.4), capacities=(1.0, 2.0))
     return model, u0
+
+
+def brute_force_value(model, u0, A, x, t, lattice=(200, 200)) -> float:
+    """The DP oracle at one point: brute_force_field on a domain holding 0 and
+    x, interpolated at x in its last time column."""
+    nodes, _, V = brute_force_field(model, u0, A, t, lattice, domain=_dp_domain(model, t, x))
+    return float(np.interp(float(x), nodes, V[:, -1]))
+
+
+def recompute_cost(d, model, u0, A) -> float:
+    """Re-assemble the cost of the path a TrajectoryDescriptor describes from its parts."""
+    if d.kind == "straight":
+        H = model.side(d.y if d.x == 0 else d.x)
+        return float(H.leg_cost(d.x - d.y, d.t) + u0.eval(d.y))
+    first = 0.0 if d.a == 0 else float(model.side(d.y).leg_cost(-d.y, d.a) + u0.eval(d.y))
+    stay = -(A.cumulative(d.b) - A.cumulative(d.a))
+    last = 0.0 if d.b == d.t else float(model.side(d.x).leg_cost(d.x, d.t - d.b))
+    return first + stay + last

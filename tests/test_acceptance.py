@@ -14,7 +14,6 @@ from junctionflow import (
     Control,
     InitialData,
     Mesh,
-    brute_force_value,
     gradient_audit,
     value,
     value_grid,

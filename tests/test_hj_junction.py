@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from junctionflow import (
     LEAST_AT_ZERO,
@@ -10,7 +12,6 @@ from junctionflow import (
     JunctionModel,
     Mesh,
     SolverError,
-    brute_force_value,
     gradient_audit,
     junction_values,
     optimal_trajectory,
@@ -19,16 +20,19 @@ from junctionflow import (
     value_grid,
     weak_star_square_wave,
 )
-from junctionflow.hj_junction import (
-    _SELECT_BLOCK,
-    TIE_SCALE,
-    Evaluator,
-    _dp_side_step,
-    _exit_legs,
-    brute_force_field,
-)
+from junctionflow import hj_junction
+from junctionflow.dp_oracle import _dp_side_step, _exit_legs
+from junctionflow.hj_junction import _SELECT_BLOCK, TIE_SCALE, Evaluator, brute_force_field
 
-from conftest import H_OF_P, P_SLOPE, T_HORIZON, asym_case, random_control
+from conftest import (
+    H_OF_P,
+    P_SLOPE,
+    T_HORIZON,
+    asym_case,
+    brute_force_value,
+    random_control,
+    recompute_cost,
+)
 
 
 class TestValue:
@@ -152,7 +156,7 @@ class TestTrajectories:
             for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
                 d = optimal_trajectory(model, u0, A, x, t, sel)
                 assert d.cost <= v + 1e-8 * (1.0 + abs(v)) + 1e-12
-                assert d.recompute_cost(model, u0, A) == pytest.approx(d.cost, abs=1e-10)
+                assert recompute_cost(d, model, u0, A) == pytest.approx(d.cost, abs=1e-10)
                 if d.kind == "straight":
                     assert d.y * x >= 0.0 or x == 0.0
                 else:
@@ -313,7 +317,7 @@ class TestExactEvaluator:
                 assert v <= scan_cost(ev, x, t) + 1e-12
                 for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
                     d = optimal_trajectory(model, u0, A, x, t, sel)
-                    assert d.recompute_cost(model, u0, A) == pytest.approx(d.cost, abs=1e-10)
+                    assert recompute_cost(d, model, u0, A) == pytest.approx(d.cost, abs=1e-10)
                     assert abs(d.cost - v) <= TIE_SCALE * (1.0 + abs(v)) + 1e-12
             frac = rng.uniform(0.0, 1.0, len(A.values))
             raised = Control(A.times, tuple(np.asarray(A.values) * frac))
@@ -380,6 +384,97 @@ class TestTrajectoryField:
             trajectory_field(model, u0, switching, Mesh(mesh.xs, np.array([1.0, 7.0])), MOST_AT_ZERO)
         with pytest.raises(SolverError):
             optimal_trajectory(model, u0, switching, 0.5, 0.0, MOST_AT_ZERO)
+
+
+# ---- the exit leg and the tie-band edges ------------------------------------------
+
+
+def two_sided_exit_cost(ev, x, t, b):
+    """The exit leg priced on both sides at every node, then picked by the sign of x."""
+    x, t, b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float),
+                                  np.asarray(b, dtype=float))
+    s = t - b
+    w = np.where(x < 0, ev.model.left.leg_cost(x, s), ev.model.right.leg_cost(x, s))
+    return np.where(x == 0, np.where(s == 0.0, 0.0, np.inf), w)
+
+
+def single_slope_tab_case():
+    model, _ = tab_case()
+    return model, InitialData((), (P_SLOPE,), capacities=(1.0, 1.0))
+
+
+class TestExitCost:
+    @pytest.mark.parametrize("case", [asym_case, tab_case], ids=["asymq", "tabulated"])
+    def test_own_side_pricing_is_bitwise_the_two_sided_form(self, case):
+        model, u0 = case()
+        rng = np.random.default_rng(61)
+        ev = Evaluator(model, u0, random_control(rng, model.A0))
+        x = np.where(rng.random(400) < 0.1, 0.0, rng.uniform(-2.0, 2.0, 400))
+        t = rng.uniform(0.1, T_HORIZON, 400)
+        b = np.where(rng.random(400) < 0.1, t, t * rng.random(400))  # s = 0 on a tenth
+        for args in [(x, t, b), (np.abs(x), t, b), (-np.abs(x), t, b),  # mixed and one-sided
+                     (x[:40, None], t[:40, None], b[None, :30] * t[:40, None] / t[None, :30]),
+                     (0.0, 1.0, 1.0), (0.3, 1.0, 1.0), (-0.3, 1.0, 0.4)]:
+            assert np.array_equal(ev.exit_cost(*args), two_sided_exit_cost(ev, *args))
+
+
+def bisected_edges(self, ok, good, end, fill, lane):
+    """The band edges as bisection found them: the good-side end of a bracket
+    halved until it is one ulp of its starting magnitude wide."""
+    i, j = np.indices(good.shape)
+    at_end, at_good = ok(i, j, end), ok(i, j, good)
+    edge = np.where(at_end, end, np.where(at_good, good, fill))
+    inner = at_good & ~at_end
+    ii, jj, g, bad = i[inner], j[inner], good[inner], end[inner]
+    res = np.spacing(np.maximum(np.abs(g), np.abs(bad)))
+    while np.any(live := np.abs(bad - g) > res):
+        mid = 0.5 * (g + bad)
+        hit = ok(ii, jj, mid)
+        g, bad = np.where(live & hit, mid, g), np.where(live & ~hit, mid, bad)
+    edge[inner] = g
+    return edge
+
+
+EDGE_CASES = {"symmetric": canonical_case, "asymq": asym_case, "tabulated": tab_case,
+              "tabulated-single-slope": single_slope_tab_case}
+
+
+class TestBandEdges:
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(sorted(EDGE_CASES)), cells=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_edges(self, case, cells, seed):
+        model, u0 = EDGE_CASES[case]()
+        rng = np.random.default_rng(seed)
+        ev = Evaluator(model, u0, random_control(rng, model.A0, cells=cells))
+        x = np.where(rng.random(24) < 0.1, 0.0, rng.uniform(-1.5, 1.5, 24))
+        t = rng.uniform(0.05, T_HORIZON, 24)
+        calls, bisect = [], hj_junction._bisect
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hj_junction, "_bisect", lambda *a: calls.append(1) or bisect(*a))
+            got = {sel: ev.selection(x, t, sel) for sel in (MOST_AT_ZERO, LEAST_AT_ZERO)}
+        assert ev._fans or not calls  # a fan-free model bisects nowhere
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Evaluator, "_edges", bisected_edges)
+            old = {sel: ev.selection(x, t, sel) for sel in (MOST_AT_ZERO, LEAST_AT_ZERO)}
+        S = ev._seg
+        for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+            dwell, a, b, v = got[sel][:4]
+            assert np.array_equal(dwell, old[sel][0]) and np.array_equal(v, old[sel][3])
+            for new, ref in ((a, old[sel][1]), (b, old[sel][2])):
+                assert np.all(np.abs(new - ref)[dwell] <= 1e-10 * (1.0 + np.abs(ref[dwell])))
+            for k in np.flatnonzero(dwell):
+                thresh = v[k] + TIE_SCALE * (1.0 + abs(v[k]))
+                exit_ = ev.exit_cost(x[k], t[k], b[k])
+                # b passes selection's own test: some trace segment is in the band there
+                trace = np.where(S["lo"] <= b[k], ev._piece(S, slice(None), b[k]), np.inf)
+                assert np.min(trace) + exit_ <= thresh
+                # the path through a and b, re-summed from its parts, is in the band up to
+                # the rounding of the sum (a also takes dwells snapped onto the junction,
+                # and the segment's own start where rounding leaves no a-edge)
+                g = 0.0 if a[k] == 0 else float(ev.approach_cost(a[k])[0])
+                cost = g + ev.A.cumulative(a[k]) - ev.A.cumulative(b[k]) + exit_
+                assert cost <= thresh + 1e-14 * (1.0 + abs(v[k]))
 
 
 # ---- the lattice DP oracle -------------------------------------------------------
