@@ -3,7 +3,9 @@
 Independent of the variational evaluator: first-order finite volumes with the
 exact concave-flux Godunov formula in the interior and the admissible-trace
 junction flux min(-A, f_plus(left), f_minus(right)) on the face at x = 0.
-Used to cross-validate rho^A = -u^A_x.
+Used to cross-validate rho^A = -u^A_x. godunov_flux and junction_flux give
+one face each; solve_cl's step takes every face from one pair of flux
+branches per cell, bitwise the same numbers.
 """
 
 from __future__ import annotations
@@ -58,11 +60,17 @@ def godunov_flux(H: Hamiltonian, rho_l, rho_r):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _check_limiter(model: JunctionModel, A):
+    """A as a float array; a ModelError unless it lies in [A0, 0] up to 1e-9."""
+    A = np.asarray(A, dtype=float)
+    if (A < model.A0 - 1e-9).any() or (A > 1e-9).any():
+        raise ModelError(f"limiter outside [{model.A0}, 0]")
+    return A
+
+
 def junction_flux(model: JunctionModel, rho_l, rho_r, A):
     """Limited junction flux min(-A, f_plus^L(rho_l), f_minus^R(rho_r)) >= 0."""
-    A = np.asarray(A, dtype=float)
-    if np.any(A < model.A0 - 1e-9) or np.any(A > 1e-9):
-        raise ModelError(f"limiter outside [{model.A0}, 0]")
+    A = _check_limiter(model, A)
     fpl, _ = flux_branches(model.left, rho_l)
     _, fmr = flux_branches(model.right, rho_r)
     out = np.minimum(-A, np.minimum(fpl, fmr))
@@ -96,6 +104,13 @@ def solve_cl(
     recorded at the requested times. Steps never cross a control breakpoint
     or a snapshot time, so the limiter is sampled exactly on each step.
     Boundary faces use zero-gradient ghost cells.
+
+    Each step evaluates the flux branches (f_plus, f_minus) once per cell on
+    its own side, then reads every face from them: interior faces
+    min(f_plus[i], f_minus[i + 1]), each ghost face min(f_plus, f_minus) of
+    its end cell, and the junction face min(-A(t), f_plus^L, f_minus^R) of
+    the two cells beside x = 0, after the limiter's range check. These are
+    godunov_flux and junction_flux face by face, to the last bit.
     """
     if not 0.0 < cfl <= 1.0:
         raise SolverError(f"cfl must be in (0, 1], got {cfl}")
@@ -125,19 +140,20 @@ def solve_cl(
     out[:, 0] = rho
     snap = 1
     mass_err = 0.0
+    fl = np.empty(len(faces))
     t = 0.0
     for stop in stops[1:]:
         while t < stop - 1e-14:
             dt = min(dt_max, stop - t)
-            fl = np.empty(len(faces))
-            # interior faces per side
-            fl[1:iz] = godunov_flux(model.left, rho[: iz - 1], rho[1:iz]) if iz > 1 else 0.0
-            if iz + 1 < len(faces) - 1:
-                fl[iz + 1 : -1] = godunov_flux(model.right, rho[iz:-1], rho[iz + 1 :])
-            fl[iz] = junction_flux(model, rho[iz - 1], rho[iz], A(t))
-            # zero-gradient ghosts at the domain ends
-            fl[0] = godunov_flux(model.left, rho[0], rho[0]) if iz > 0 else 0.0
-            fl[-1] = godunov_flux(model.right, rho[-1], rho[-1])
+            fpl, fml = flux_branches(model.left, rho[:iz])
+            fpr, fmr = flux_branches(model.right, rho[iz:])
+            a = _check_limiter(model, A(t))
+            # interior faces per side, zero-gradient ghosts, the junction face
+            fl[1:iz] = np.minimum(fpl[:-1], fml[1:])
+            fl[iz + 1 : -1] = np.minimum(fpr[:-1], fmr[1:])
+            fl[iz] = np.minimum(-a, np.minimum(fpl[-1], fmr[0]))
+            fl[0] = np.minimum(fpl[0], fml[0])
+            fl[-1] = np.minimum(fpr[-1], fmr[-1])
             new = rho - dt / dx * (fl[1:] - fl[:-1])
             mass_err = max(mass_err, abs(((new - rho) * dx).sum() + dt * (fl[-1] - fl[0])))
             rho = new

@@ -225,7 +225,7 @@ class _Builder:
             return None
         cc = SimpleNamespace(
             cells=self.entry("crosscheck.cells", 400, int, 1),
-            slices=self.entry("crosscheck.slices", 13, int, 1),
+            slices=self.entry("crosscheck.slices", 13, int, 2),  # t = 0 alone compares nothing
             cfl=self.entry("crosscheck.cfl", 0.9, float),
             l1_tol=self.entry("crosscheck.l1_tol", 0.05, float),
         )

@@ -25,8 +25,10 @@ def _dp_side_step(H: Hamiltonian, nodes, dt):
     the cells that meet [x - dh0 dt, x - dhr dt] take the per-cell minimum,
     which is exact because the objective is convex in y on each cell; where
     V's slope on a cell leaves [-R, 0] the cell's minimum sits at a node that
-    the running minima hold. So no assumption on V's slopes is needed. The
-    cell indices depend only on the nodes and dt and are built once.
+    the running minima hold. So no assumption on V's slopes is needed.
+    Everything that depends only on the nodes and dt is built once: the cell
+    indices and spans, the node gaps, R times the nodes, and the two
+    running-minimum buffers that each step refills.
     """
     x, free, steep = nodes[:, None], nodes - H.dh0 * dt, nodes - H.dhr * dt
     n_left = np.searchsorted(nodes, free, side="right")  # nodes[:n_left] <= x - dh0 dt
@@ -34,16 +36,20 @@ def _dp_side_step(H: Hamiltonian, nodes, dt):
     first = np.searchsorted(nodes[1:], free, side="left")  # cells meeting the middle
     last = np.searchsorted(nodes[:-1], steep, side="right") - 1
     cell = np.minimum(first[:, None] + np.arange(np.max(last - first) + 1), last[:, None])
-    lo, hi = nodes[cell], nodes[cell + 1]
+    cell1 = cell + 1
+    lo, hi = nodes[cell], nodes[cell1]
+    gaps, span, ramp = np.diff(nodes), hi - lo, H.R * nodes
+    # running minima: V's prefix minima after an inf, V + R y's suffix minima before one
+    left, right = np.full(len(nodes) + 1, np.inf), np.full(len(nodes) + 1, np.inf)
 
     def step(V):
-        alpha = H.slope_for_cost_slope(np.diff(V) / np.diff(nodes))
-        y = np.clip(x - dt * alpha[cell], lo, hi)
-        w = (y - lo) / (hi - lo)  # in [0, 1]: the interpolant keeps the sign of V
-        mid = np.min((1.0 - w) * V[cell] + w * V[cell + 1] + H.leg_cost(x - y, dt), axis=1)
-        left = np.concatenate([[np.inf], np.minimum.accumulate(V)])[n_left]
-        right = np.concatenate([np.minimum.accumulate((V + H.R * nodes)[::-1])[::-1], [np.inf]])
-        return np.minimum(mid, np.minimum(left, right[n_right] - H.R * nodes))
+        alpha = H.slope_for_cost_slope((V[1:] - V[:-1]) / gaps)
+        y = np.minimum(np.maximum(x - dt * alpha[cell], lo), hi)
+        w = (y - lo) / span  # in [0, 1]: the interpolant keeps the sign of V
+        mid = ((1.0 - w) * V[cell] + w * V[cell1] + H.leg_cost(x - y, dt)).min(axis=1)
+        np.minimum.accumulate(V, out=left[1:])
+        np.minimum.accumulate((V + ramp)[::-1], out=right[-2::-1])
+        return np.minimum(mid, np.minimum(left[n_left], right[n_right] - ramp))
 
     return step
 

@@ -165,20 +165,20 @@ class Hamiltonian:
         lo_branch = dx <= self.dhr * dt
         mid = ~(lo_branch | (dx >= self.dh0 * dt))
         out = np.where(lo_branch, -self.R * dx, 0.0)
-        if np.any(mid):
+        if mid.any():
             c1, c2 = self._table[3:]
             s, h0 = self._at_zero
             denom = np.where(mid, dt, 1.0)
             j = _find(c1[1:], dx, denom)
-            out = np.where(mid, (dx - s[j] * dt) ** 2 / (4.0 * c2[j] * denom) - h0[j] * dt, out)
+            out = np.where(mid, np.square(dx - s[j] * dt) / (4.0 * c2[j] * denom) - h0[j] * dt, out)
         still = dt == 0.0
-        if np.any(still):
+        if still.any():
             out = np.where(still & (dx != 0.0), np.inf, out)
         return out
 
     def slope_for_cost_slope(self, q):
         """Leg slope alpha with L'(alpha) = q, i.e. alpha = H'(q), q in (-R, 0)."""
-        return self.deriv(np.clip(q, -self.R, 0.0))
+        return self.deriv(np.minimum(np.maximum(q, -self.R), 0.0))
 
     def level_speed(self, h, branch: int):
         """|H'(p)| at the p with H(p) = h on one monotone branch of H, h clipped
@@ -212,16 +212,21 @@ class Hamiltonian:
 
 def _check_density_domain(H: Hamiltonian, rho):
     rho = _as_float_array(rho)
-    if np.any(rho < -DOMAIN_TOL) or np.any(rho > H.R + DOMAIN_TOL):
+    if (rho < -DOMAIN_TOL).any() or (rho > H.R + DOMAIN_TOL).any():
         raise ModelError(f"density outside [0, {H.R}]")
-    return np.clip(rho, 0.0, H.R)
+    return rho.clip(0.0, H.R)
 
 
 def flux_branches(H: Hamiltonian, rho):
-    """Increasing and decreasing parts (f_plus, f_minus) of the flux at rho."""
+    """Increasing and decreasing parts (f_plus, f_minus) of the flux at rho.
+
+    H is evaluated once: past rho_hat each branch is f(rho_hat), which is
+    f_max to the last bit because h_min is H(p_hat).
+    """
     rho = _check_density_domain(H, rho)
-    f_plus = H.flux(np.minimum(rho, H.rho_hat))
-    f_minus = H.flux(np.maximum(rho, H.rho_hat))
+    f = H.flux(rho)
+    f_plus = np.where(rho > H.rho_hat, H.f_max, f)
+    f_minus = np.where(rho < H.rho_hat, H.f_max, f)
     if f_plus.ndim == 0:
         return float(f_plus), float(f_minus)
     return f_plus, f_minus

@@ -578,14 +578,14 @@ def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None):
     out = np.empty((len(nodes), nt + 1))
     out[:, 0] = V
     step_l, step_r = _dp_side_step(Hl, nodes[: iz + 1], dt), _dp_side_step(Hr, nodes[iz:], dt)
+    cum = A.cumulative(ts)  # parking on [ts[k], ts[k + 1]] costs -(cum[k + 1] - cum[k])
     for k in range(nt):
-        park = -(A.cumulative(ts[k + 1]) - A.cumulative(ts[k]))
         vl = step_l(V[: iz + 1])
         vr = step_r(V[iz:])
         new = np.empty_like(V)
         new[:iz] = vl[:-1]
         new[iz + 1 :] = vr[1:]
-        new[iz] = min(vl[-1], vr[0], V[iz] + park)
+        new[iz] = min(vl[-1], vr[0], V[iz] - (cum[k + 1] - cum[k]))
         V = new
         out[:, k + 1] = V
     # one exact straight exit leg from the junction node, on the DP's own trace

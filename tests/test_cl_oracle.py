@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from junctionflow import Control, ModelError, SolverError
+from junctionflow import Control, Hamiltonian, JunctionModel, ModelError, SolverError
+from junctionflow._util import sorted_unique
 from junctionflow.cl_oracle import (
     DensityField,
     GermElement,
@@ -12,7 +15,7 @@ from junctionflow.cl_oracle import (
     solve_cl,
 )
 
-from conftest import T_HORIZON
+from conftest import TAB, T_HORIZON, asym_case, random_control
 
 
 def centers(faces):
@@ -123,6 +126,71 @@ class TestSolveCL:
         with pytest.raises(SolverError):
             solve_cl(model, np.zeros(10), faces, Control((0.0, 1.0), (0.0,)),
                      np.array([0.0, 1.0]), cfl=1.5)
+
+
+def face_march(model, rho, faces, A, times, cfl=0.9):
+    """solve_cl's march as it was built face by face on godunov_flux and
+    junction_flux: the reference for its one-evaluation-per-cell step."""
+    rho, dx = np.array(rho, dtype=float), np.diff(faces)
+    iz = int(np.argmin(np.abs(faces)))
+    dt_max = cfl * dx.min() / max(model.left.max_wave_speed, model.right.max_wave_speed)
+    stops = sorted_unique(np.concatenate([times, [s for s in A.times if s <= times[-1]]]))
+    out, snap, mass_err, t = [rho], 1, 0.0, 0.0
+    for stop in stops[1:]:
+        while t < stop - 1e-14:
+            dt = min(dt_max, stop - t)
+            fl = np.empty(len(faces))
+            fl[1:iz] = godunov_flux(model.left, rho[: iz - 1], rho[1:iz]) if iz > 1 else 0.0
+            if iz + 1 < len(faces) - 1:
+                fl[iz + 1 : -1] = godunov_flux(model.right, rho[iz:-1], rho[iz + 1 :])
+            fl[iz] = junction_flux(model, rho[iz - 1], rho[iz], A(t))
+            fl[0] = godunov_flux(model.left, rho[0], rho[0])
+            fl[-1] = godunov_flux(model.right, rho[-1], rho[-1])
+            new = rho - dt / dx * (fl[1:] - fl[:-1])
+            mass_err = max(mass_err, abs(((new - rho) * dx).sum() + dt * (fl[-1] - fl[0])))
+            rho = new
+            t += dt
+        if snap < len(times) and abs(stop - times[snap]) <= 1e-12:
+            out.append(rho)
+            snap += 1
+    return np.column_stack(out), mass_err
+
+
+SYMMETRIC = JunctionModel(Hamiltonian(R=1.0), Hamiltonian(R=1.0), equal_minima=True)
+MARCH_MODELS = {"symmetric": SYMMETRIC, "asymq": asym_case()[0],
+                "tabulated": JunctionModel(TAB, TAB, equal_minima=True)}
+MARCH_GRIDS = {"40 cells": (-2.0, 2.0, 40), "one cell on the left": (-1.0, 3.0, 4),
+               "one cell on the right": (-3.0, 1.0, 4), "one cell a side": (-1.0, 1.0, 2)}
+
+
+class TestSolveCLMarch:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(MARCH_MODELS)), grid=st.sampled_from(sorted(MARCH_GRIDS)),
+           cells=st.integers(1, 5), near_snapshot=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_the_face_march(self, name, grid, cells, near_snapshot, seed):
+        model, rng = MARCH_MODELS[name], np.random.default_rng(seed)
+        faces = make_grid(*MARCH_GRIDS[grid])
+        times = np.linspace(0.0, T_HORIZON, 7)
+        A = random_control(rng, model.A0, cells=cells)
+        if near_snapshot:  # a breakpoint within 1e-13 of a snapshot time
+            k = rng.integers(1, 6)
+            switch = times[k] + rng.choice([-1.0, 1.0]) * rng.uniform(1e-15, 1e-13)
+            A = Control((0.0, switch, T_HORIZON), tuple(rng.uniform(model.A0, 0.0, 2)))
+        # random densities in each side's [0, R], with vacuum, jam and rho_hat cells
+        iz = int(np.argmin(np.abs(faces)))
+        H = [model.left] * iz + [model.right] * (len(faces) - 1 - iz)
+        rho0 = np.array([rng.choice([rng.uniform(0.0, h.R), 0.0, h.R, h.rho_hat]) for h in H])
+        got = solve_cl(model, rho0, faces, A, times)
+        rho, mass_err = face_march(model, rho0, faces, A, times)
+        assert got.rho.tobytes() == rho.tobytes()
+        assert got.mass_balance_error == mass_err
+
+    @pytest.mark.parametrize("value", [-0.3, 0.01], ids=["below A0", "above 0"])
+    def test_limiter_outside_the_range_raises(self, model, value):
+        faces = make_grid(-1.0, 1.0, 10)
+        A = Control((0.0, 0.5, 1.0), (model.A0, value))
+        with pytest.raises(ModelError, match="limiter outside"):
+            solve_cl(model, np.full(10, 0.3), faces, A, np.array([0.0, 1.0]))
 
 
 class TestCrossCheck:

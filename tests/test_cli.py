@@ -109,6 +109,7 @@ class TestRunOptions:
         ("crosscheck", "crosscheck", "xmax", "true"),
         ("crosscheck", "crosscheck", "cells", "2.5"),
         ("crosscheck", "crosscheck", "slices", '"x"'),
+        ("crosscheck", "crosscheck", "slices", "1"),
         ("crosscheck", "crosscheck", "cfl", "1.5"),
         ("crosscheck", "crosscheck", "l1_tol", "[1]"),
         ("cost", "functional", "linear_coeff", '"x"'),

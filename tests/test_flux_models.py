@@ -53,6 +53,19 @@ class TestFlux:
         # within tolerance is clipped, not rejected
         assert flux_branches(quad, 1.0 + 1e-10) == (0.25, 0.0)
 
+    @pytest.mark.parametrize("H", [Hamiltonian(R=1.0), Hamiltonian(R=2.0, kappa=0.5), TAB],
+                             ids=["quadratic", "asymq-right", "tabulated"])
+    def test_branches_are_the_flux_at_the_clamped_density_bitwise(self, H):
+        # one flux evaluation per density: past rho_hat each branch is f_max,
+        # which is f(rho_hat) to the last bit
+        rho = np.concatenate([np.random.default_rng(5).uniform(0.0, H.R, 2000),
+                              [0.0, H.rho_hat, H.R, -1e-10, H.R + 1e-10]])
+        fp, fm = flux_branches(H, rho)
+        clamped = np.clip(rho, 0.0, H.R)
+        assert np.array_equal(fp, H.flux(np.minimum(clamped, H.rho_hat)))
+        assert np.array_equal(fm, H.flux(np.maximum(clamped, H.rho_hat)))
+        assert flux_branches(H, H.rho_hat) == (H.f_max, H.f_max)
+
     def test_flux_is_reflected_hamiltonian(self, quad):
         rho = np.linspace(0.0, 1.0, 257)
         assert np.abs(quad.flux(rho) + quad.value(-rho)).max() <= 1e-12
@@ -173,6 +186,19 @@ class TestLegCost:
         cost = TAB.leg_cost(alpha * dt, dt)
         for c, a, s in zip(cost, alpha, dt):
             assert c == pytest.approx(s * numeric_conjugate(TAB, a), abs=1e-9)
+
+    @pytest.mark.parametrize("H", [Hamiltonian(R=1.0), Hamiltonian(R=2.0, kappa=0.5), TAB],
+                             ids=["quadratic", "asymq-right", "tabulated"])
+    def test_scalar_and_array_legs_agree_bitwise(self, H):
+        # callers price one leg as scalars and many as arrays; both forms must
+        # give the same bits, or a band edge priced one way fails the other's test
+        rng = np.random.default_rng(11)
+        dt = np.concatenate([rng.uniform(0.0, 5.0, 6000), np.zeros(10)])
+        dx = rng.uniform(1.2 * H.dhr, 1.2 * H.dh0, len(dt)) * np.where(dt > 0, dt, 1.0)
+        dx[-5:] = 0.0
+        legs = H.leg_cost(dx, dt)
+        assert np.array_equal(legs, [H.leg_cost(a, b) for a, b in zip(dx, dt)])
+        assert np.array_equal(legs, [H.leg_cost(a, b) for a, b in zip(dx.tolist(), dt.tolist())])
 
 
 class TestEquality:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from junctionflow import (
@@ -21,7 +21,7 @@ from junctionflow import (
     weak_star_square_wave,
 )
 from junctionflow import hj_junction
-from junctionflow.dp_oracle import _dp_side_step, _exit_legs
+from junctionflow.dp_oracle import _dp_domain, _dp_side_step, _exit_legs
 from junctionflow.hj_junction import _SELECT_BLOCK, TIE_SCALE, Evaluator, brute_force_field
 
 from conftest import (
@@ -443,6 +443,9 @@ class TestBandEdges:
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from(sorted(EDGE_CASES)), cells=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
+    # selection prices the exit leg with arrays, this test with scalars: the two
+    # must agree to the last bit, or b reads one ulp outside the band
+    @example(case="tabulated-single-slope", cells=1, seed=4294967295)
     def test_closed_form_edges(self, case, cells, seed):
         model, u0 = EDGE_CASES[case]()
         rng = np.random.default_rng(seed)
@@ -553,6 +556,28 @@ class TestDPOracle:
             for k in range(1, n + 1):
                 direct[:, k] = np.min(a[:k] + H.leg_cost(xs[:, None], ts[k] - ts[:k]), axis=1)
             assert np.array_equal(E, direct)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(["symmetric", "asymq", "tabulated"]), four_pieces=st.booleans(),
+           cells=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_dp_is_within_its_bound_of_the_evaluator(self, case, four_pieces, cells, seed):
+        model = {"symmetric": canonical_case, "asymq": asym_case, "tabulated": tab_case}[case]()[0]
+        caps = (model.left.R, model.right.R)
+        u0 = (InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -0.9 * caps[1]), capacities=caps)
+              if four_pieces else InitialData((), (P_SLOPE,), capacities=caps))
+        rng = np.random.default_rng(seed)
+        A = random_control(rng, model.A0, cells=cells)
+        t = rng.uniform(1.0, T_HORIZON)
+        lo, hi = _dp_domain(model, t)
+        for n in (60, 120):
+            # the sampled nodes lie within 2 of x = 0, so the domain is widened by 2:
+            # every path to them stays on the lattice
+            nodes, ts, V = brute_force_field(model, u0, A, t, (n, n), domain=(lo - 2.0, hi + 2.0))
+            bound = 2.0 * ((nodes[-1] - nodes[0]) / (len(nodes) - 1) + t / n)
+            ii = np.unique(rng.choice(np.flatnonzero(np.abs(nodes) <= 2.0), 20))
+            kk = np.unique(rng.integers(len(ts) // 8, len(ts), 8))
+            exact = value_grid(model, u0, A, Mesh(nodes[ii], ts[kk])).u
+            assert np.abs(exact - V[np.ix_(ii, kk)]).max() <= bound
 
     @pytest.mark.parametrize("domain", [(0.5, 5.0), (-5.0, -0.5), (0.0, 5.0), (-5.0, 0.0)])
     def test_domain_must_hold_zero_inside(self, domain):
