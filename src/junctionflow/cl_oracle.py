@@ -102,7 +102,9 @@ def solve_cl(
 
     rho0 holds initial cell averages on the given face grid; snapshots are
     recorded at the requested times. Steps never cross a control breakpoint
-    or a snapshot time, so the limiter is sampled exactly on each step.
+    or a snapshot time, so the limiter is sampled exactly on each step. Cells
+    so narrow that a full CFL step does not advance the last stop time raise
+    SolverError before the first step.
     Boundary faces use zero-gradient ghost cells.
 
     Each step evaluates the flux branches (f_plus, f_minus) once per cell on
@@ -136,6 +138,9 @@ def solve_cl(
     dx = np.diff(faces)
     dt_max = cfl * dx.min() / max(model.left.max_wave_speed, model.right.max_wave_speed)
     stops = sorted_unique(np.concatenate([times, [s for s in A.times if s <= times[-1]]]))
+    if stops[-1] + dt_max == stops[-1]:
+        raise SolverError(f"the CFL step {dt_max:.3g} does not advance t = {stops[-1]}; "
+                          "the cells are too narrow")
     out = np.empty((len(rho), len(times)))
     out[:, 0] = rho
     snap = 1

@@ -35,7 +35,7 @@ from .cl_oracle import DensityField, cross_check, density_from_value_field, make
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel
 from .functionals import BoxWeight, CostSpec, cost_report, make_box_weight
-from .hj_junction import Mesh, gradient_audit, junction_values, value_grid
+from .hj_junction import Mesh, SolverError, gradient_audit, junction_values, value_grid
 from .optimality import check_optimality
 from .optimizer import MIN_BUDGET, optimize_bangbang, optimize_relaxed, pattern_extract
 
@@ -343,7 +343,10 @@ def cmd_audit(cfg, out_dir):
 def cmd_crosscheck(cfg, out_dir):
     inp = _Builder(cfg).inputs("control", "crosscheck")
     cc = inp.cc
-    rep = cross_check(inp.model, inp.u0, inp.ctrl, cc.faces, cc.times, cfl=cc.cfl)
+    try:
+        rep = cross_check(inp.model, inp.u0, inp.ctrl, cc.faces, cc.times, cfl=cc.cfl)
+    except SolverError as exc:
+        raise ConfigError([f"[crosscheck] {exc}"]) from None
     rep["density"].write_csv(os.path.join(out_dir, "rho_cl.csv"))
     out = dict(
         l1_density_error=rep["l1_density_error"],

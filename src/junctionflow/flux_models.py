@@ -180,19 +180,35 @@ class Hamiltonian:
         """Leg slope alpha with L'(alpha) = q, i.e. alpha = H'(q), q in (-R, 0)."""
         return self.deriv(np.minimum(np.maximum(q, -self.R), 0.0))
 
-    def level_speed(self, h, branch: int):
-        """|H'(p)| at the p with H(p) = h on one monotone branch of H, h clipped
-        into [h_min, 0].
+    def level_line(self, h, branch: int):
+        """(alpha, beta) with H'(p)**2 = alpha + beta H(p) on the piece that
+        holds level h on one monotone branch of H: the squared speed is affine
+        in the level on each piece, alpha = c1**2 - 4 c2 c0 and beta = 4 c2.
 
-        branch > 0 takes p in [p_hat, 0], branch < 0 takes p in [-R, p_hat].
-        On piece j, H'(p)**2 = c1**2 + 4 c2 (H(p) - c0); the knot values c0
-        rise after the vertex piece and fall before it.
+        branch > 0 takes p in [p_hat, 0], branch < 0 takes p in [-R, p_hat];
+        the knot values c0 rise after the vertex piece and fall before it.
         """
         lo, hi, c0, c1, c2 = self._table
-        h = np.clip(_as_float_array(h), self.h_min, 0.0)
         v = _find(lo[1:], self.p_hat)
         j = v + _find(c0[v + 1 :], h) if branch > 0 else _find(-c0[1 : v + 1], -h)
-        return np.sqrt(np.maximum(c1[j] * c1[j] + 4.0 * c2[j] * (h - c0[j]), 0.0))
+        return c1[j] * c1[j] - 4.0 * c2[j] * c0[j], 4.0 * c2[j]
+
+    def level_speed(self, h, branch: int):
+        """|H'(p)| at the p with H(p) = h on one branch of H (see level_line),
+        h clipped into [h_min, 0]."""
+        h = np.clip(_as_float_array(h), self.h_min, 0.0)
+        alpha, beta = self.level_line(h, branch)
+        return np.sqrt(np.maximum(alpha + beta * h, 0.0))
+
+    def leg_level(self, dx, dt):
+        """Flux level H(p) of an affine leg of duration dt > 0, p = L'(dx/dt):
+        minus the rate of leg_cost in dt. On the middle branch's piece j it
+        is ((dx/dt)**2 - s_j**2) / (4 c2_j) + H_j(0); off it, 0."""
+        a = _as_float_array(dx) / dt
+        c1, c2 = self._table[3:]
+        s, h0 = self._at_zero
+        j = _find(c1[1:], a)
+        return np.where((a > self.dhr) & (a < self.dh0), (a * a - s[j] * s[j]) / (4.0 * c2[j]) + h0[j], 0.0)
 
     def flux(self, rho):
         return -self.value(-_as_float_array(rho))
@@ -208,6 +224,40 @@ class Hamiltonian:
     @property
     def max_wave_speed(self) -> float:
         return max(abs(self.dh0), abs(self.dhr))
+
+
+def pair_duration(approach, exit_, E, X, t, h):
+    """Approach duration tau of two legs that share a flux level on one piece
+    pair and take t together.
+
+    approach and exit_ are the legs' level lines (alpha, beta), their squared
+    speeds alpha + beta h on the pair (Hamiltonian.level_line); E and X are
+    their lengths, and at level h of the pair they arrive early:
+    E / S_a(h) + X / S_e(h) < t. With r = beta_e / beta_a and
+    g = alpha_e - r alpha_a, tau solves
+    F(tau) = tau + X tau / sqrt(g tau**2 + r E**2) = t. F rises, and for
+    g >= 0 it is concave, so Newton steps from tau(h) climb to the root and
+    stop where rounding stalls them. For g < 0 the exit duration solves the
+    same equation with the legs swapped, and there it is concave. Legs on
+    one parabola give tau = t E / (E + X).
+    """
+    (aa, ba), (ae, be) = approach, exit_
+    r = be / ba
+    g = ae - r * aa
+    swap = g < 0  # solve for the exit duration D instead; P, Q: the lengths of D's leg and the other
+    P, Q = np.where(swap, X, E), np.where(swap, E, X)
+    g = np.where(swap, -g / r, g)
+    rP2 = np.where(swap, 1.0 / r, r) * P * P
+    D = P / np.sqrt(np.where(swap, ae + be * h, aa + ba * h))
+    while True:
+        s = np.sqrt(g * D * D + rP2)
+        new = D - (D + Q * D / s - t) / (1.0 + Q * rP2 / (s * s * s))
+        if not (new > D).any():
+            break
+        D = np.maximum(D, new)
+    tau = np.where(swap, t - D, D)
+    same = (aa == ae) & (ba == be)
+    return np.where(same, t * E / (E + X), tau) if same.any() else tau
 
 
 def _check_density_domain(H: Hamiltonian, rho):
@@ -254,6 +304,52 @@ class JunctionModel:
 
     def side(self, x: float) -> Hamiltonian:
         return self.left if x < 0 else self.right
+
+    def own_side(self, f, side, dx, dt, at_zero=0.0):
+        """f(H, dx, dt) with the H of each lane's own side: the left where
+        side < 0, the right where side > 0, at_zero where side is 0. An
+        at_zero array of the lanes' shape is filled in place and returned."""
+        side, dx, dt = np.broadcast_arrays(side, dx, dt)
+        sides = ((self.left, side < 0), (self.right, side > 0))
+        for H, on in sides:
+            if on.all():  # one side: no gather
+                return f(H, dx, dt)
+        out = at_zero if np.shape(at_zero) == side.shape else np.full(side.shape, at_zero)
+        for H, on in sides:
+            out[on] = f(H, dx[on], dt[on])
+        return out
+
+    def speed(self, side, h, inward):
+        """|H'(p)| of a leg on the given side at flux level H(p) = h, moving toward
+        the junction (inward) or away from it."""
+        d = 1 if inward else -1
+        return np.where(np.asarray(side) < 0, self.left.level_speed(h, d),
+                        self.right.level_speed(h, -d))
+
+    def fan_duration(self, side, E, x, t):
+        """Duration of the approach from a datum kink at distance E on the given
+        side when it and the exit leg into (x, t) share a flux level h, and
+        their durations, falling in h, add up to t; clipped to [0, t].
+
+        The tables' knot levels where the legs arrive late and early bracket h
+        on one piece pair, on which pair_duration solves for the duration. A
+        leg into x = 0 takes no time, and where the legs arrive late even at
+        their fastest (h = 0) the exit takes as long as it can.
+        """
+        L, R, X = self.left, self.right, np.abs(x)
+        pick = lambda on, d, h: [np.where(on, a, b) for a, b in zip(L.level_line(h, d), R.level_line(h, -d))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exit_time = lambda h: X / self.speed(x, h, False)
+            late = lambda h: E / self.speed(side, h, True) + exit_time(h) >= t
+            lo = np.maximum(np.where(side < 0, L.h_min, R.h_min), np.where(x < 0, L.h_min, R.h_min))
+            hi = 0.0
+            for k in np.unique(np.concatenate([L._table[2][1:], R._table[2][1:]])):
+                on = late(k)
+                lo, hi = np.where(on, np.maximum(lo, k), lo), np.where(on, hi, np.minimum(hi, k))
+            mid = 0.5 * (lo + hi)
+            tau = pair_duration(pick(side < 0, 1, mid), pick(x < 0, -1, mid), E, X, t, hi)
+            tau = np.where(late(0.0), t - exit_time(0.0), tau)
+            return np.clip(np.where(x == 0, t, tau), 0.0, t)
 
     def ident(self) -> str:
         def one(H):

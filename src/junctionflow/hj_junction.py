@@ -19,12 +19,14 @@ the candidates (a = b) and holds M - I(b) at the levels M reached at piece
 minimizers. On an affine segment of slope v the exit slope p solves
 H(p) = -v on the branch of the exit direction and b = t - x / H'(p) is
 clipped to the segment; on a fan segment approach and exit share one flux
-level H(p), bisected until its bracket is one ulp wide. Every candidate is
-a true path cost and every minimization is exact, so the value is the
-infimum up to rounding. Tie selection reads its band edges from the same
-pieces: times the leg's duration the band test is a quadratic on each leg
-branch and piece, so each edge is a root in closed form (bisected only on
-fan segments, whose test holds two legs).
+level H(p), where both squared speeds are affine in H(p) on a piece pair and
+the stay end solves one monotone equation (JunctionModel.fan_duration). Every
+candidate is a true path cost and every minimization is exact, so the value
+is the infimum up to rounding. Tie selection reads its band edges from the
+same pieces: times the leg's duration the band test is a quadratic on each
+leg branch and piece, so each edge is a root in closed form; on fan
+segments, whose test holds two legs and is convex, Newton steps reach it
+from the failing end.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from ._util import sorted_unique, write_csv
 from .controls import Control
 from .dp_oracle import _dp_domain, _dp_side_step, _exit_legs
-from .flux_models import InitialData, JunctionModel, ModelError
+from .flux_models import Hamiltonian, InitialData, JunctionModel, ModelError
 
 MOST_AT_ZERO = "MostAtZero"
 LEAST_AT_ZERO = "LeastAtZero"
@@ -178,15 +180,9 @@ class Evaluator:
     def exit_cost(self, x, t, b):
         """W(b): exit leg (0, b) -> (x, t), priced on x's side only; for x = 0
         only b = t is admissible."""
-        x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float) - b)
-        sides = ((self.model.left, x < 0), (self.model.right, x > 0))
-        for H, on in sides:
-            if on.all():  # one side: no gather
-                return H.leg_cost(x, s)
-        w = np.where(s == 0.0, 0.0, np.inf)
-        for H, on in sides:
-            w[on] = H.leg_cost(x[on], s[on])
-        return w
+        x, s = np.asarray(x, dtype=float), np.asarray(t, dtype=float) - b
+        at_zero = np.where(s == 0.0, 0.0, np.inf) if (x == 0).any() else 0.0
+        return self.model.own_side(Hamiltonian.leg_cost, x, x, s, at_zero)
 
     # ---- junction trace ------------------------------------------------------
 
@@ -229,7 +225,7 @@ class Evaluator:
         arg = np.where(phi["v"] >= 0, phi["lo"], phi["hi"])
         if self._fans:  # a fan piece is stationary where its leg's flux level H(p) equals A
             with np.errstate(divide="ignore"):
-                a = np.abs(phi["e"]) / self._speed(phi["side"], phi["v"], True)
+                a = np.abs(phi["e"]) / self.model.speed(phi["side"], phi["v"], True)
             arg = np.where(phi["side"] != 0, np.clip(a, phi["lo"], phi["hi"]), arg)
         phi["arg"] = arg
         self._phi = phi
@@ -257,7 +253,7 @@ class Evaluator:
             a=np.concatenate([np.full(len(cand), np.nan), ra[j]]),  # dwell start; nan: a = b
         )
         with np.errstate(divide="ignore"):  # exit slope p with H(p) = -v, as 1 / |H'(p)|
-            seg["lag"] = [1.0 / self._speed(side, -seg["v"], False) for side in (-1, 1)]
+            seg["lag"] = [1.0 / self.model.speed(side, -seg["v"], False) for side in (-1, 1)]
         self._seg = seg
 
     def _piece(self, tab, idx, z):
@@ -265,29 +261,13 @@ class Evaluator:
         out = tab["c"][idx] + tab["v"][idx] * z
         if not self._fans:
             return out
-        e, side = tab["e"][idx], tab["side"][idx]
-        leg = np.where(side < 0, self.model.left.leg_cost(-e, z), self.model.right.leg_cost(-e, z))
-        return out + np.where(side != 0, leg, 0.0)
-
-    def _speed(self, side, h, inward):
-        """|H'(p)| of a leg on the given side at flux level H(p) = h, moving toward
-        the junction (inward) or away from it."""
-        d = 1 if inward else -1
-        return np.where(np.asarray(side) < 0, self.model.left.level_speed(h, d),
-                        self.model.right.level_speed(h, -d))
+        return out + self.model.own_side(Hamiltonian.leg_cost, tab["side"][idx], -tab["e"][idx], z)
 
     def _fan_ends(self, x, t):
-        """Stay ends on the fan segments: approach and exit legs share a flux level h
-        at the optimum, and their durations, falling in h, add up to t there."""
-        L, R, fan = self.model.left, self.model.right, self._seg["side"] != 0
-        e, side = np.abs(self._seg["e"][fan]), self._seg["side"][fan]
-        h_lo = np.maximum(np.where(side < 0, L.h_min, R.h_min), np.where(x < 0, L.h_min, R.h_min))
-        shape = np.broadcast_shapes(np.shape(x), np.shape(t), e.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exit_time = lambda h: np.where(x == 0, 0.0, np.abs(x) / self._speed(x, h, False))
-            h = _bisect(lambda h: e / self._speed(side, h, True) + exit_time(h) >= t,
-                        np.broadcast_to(h_lo, shape), np.zeros(shape))
-            return np.clip(t - exit_time(h), 0.0, t)
+        """Stay ends on the fan segments: the approach from the kink, which
+        starts at time 0, takes b (JunctionModel.fan_duration)."""
+        fan = self._seg["side"] != 0
+        return self.model.fan_duration(self._seg["side"][fan], np.abs(self._seg["e"][fan]), x, t)
 
     # ---- dwell family --------------------------------------------------------
 
@@ -384,9 +364,9 @@ class Evaluator:
                        np.nextafter(t, -np.inf)[:, None], end)
         edges = self._edges(lambda i, j, z: (S["lo"][j] <= z)
                             & (self._piece(S, j, z) + self.exit_cost(x[i], t[i], z) <= thresh[i]),
-                            b, end, -np.inf, lambda i, j: (  # the exit leg; fans add another
-                                np.where(S["side"][j] != 0, np.nan, np.sign(x[i])), x[i],
-                                S["c"][j] + S["v"][j] * t[i] - thresh[i], -S["v"][j], t[i], -1))
+                            b, end, -np.inf, lambda i, j: (  # the exit leg; fans add their approach
+                                np.sign(x[i]), x[i], S["c"][j] + S["v"][j] * t[i] - thresh[i],
+                                -S["v"][j], t[i], -1, S["side"][j], -S["e"][j]))
         j, b_sel = np.argmax(edges, axis=1), np.max(edges, axis=1)
         del b, cost, end, edges  # node-by-segment arrays, not needed for the a-edge
         b_sel = np.where(np.isfinite(b_sel), b_sel, t)  # no dwell path in the band
@@ -397,7 +377,7 @@ class Evaluator:
                            np.clip(P["arg"], P["lo"], hi), P["lo"] + 0.0 * hi if most else hi,
                            np.inf if most else -np.inf,  # a leg from a kink, or none
                            lambda i, j: (P["side"][j], -P["e"][j], P["c"][j] - (thresh - psi)[i],
-                                         P["v"][j], 0, 1))
+                                         P["v"][j], 0, 1, 0, 0))
         a_sel = ends.min(axis=1) if most else ends.max(axis=1)
         a_fb = np.fmin(S["a"][j], b_sel)  # the start of the segment's own path
         a_sel, y, g = self._dwell_start(np.where(np.isfinite(a_sel), a_sel, a_fb))
@@ -411,12 +391,15 @@ class Evaluator:
         ok(i, j, z) tests point z of piece j for node i. Where ok holds at end
         that is the edge; where it holds only at good (the piece minimizer) it
         is the crossing between them; elsewhere it is fill. lane(i, j) returns
-        (side, dx, c, v, o, r), the test as c + v u + leg(dx, u) <= 0 in the
-        leg duration u = r (z - o), the leg on side -1 or 1 (0: no leg; NaN:
-        two legs, bisected); c and v are fresh arrays, used in place. Times u
-        the test is a quadratic in u on each branch and piece of the leg: the
-        leg's knots bracket the crossing, its stable root is clipped into the
-        bracket, and doubling steps back toward good keep ok at the edge.
+        (side, dx, c, v, o, r, side2, dx2), the test as
+        c + v u + leg(dx, u) + leg2(dx2, z) <= 0 in the leg duration
+        u = r (z - o), each leg on side -1 or 1 (0: no leg); c and v are fresh
+        arrays, used in place. Times u a one-leg test is a quadratic in u on
+        each branch and piece of the leg: the leg's knots bracket the
+        crossing, and its stable root is clipped into the bracket. A two-leg
+        test is convex in z, so Newton steps from end move toward the crossing
+        from one side and stop where rounding stalls them. Doubling steps back
+        toward good then keep ok at the edge.
         """
         i, j = np.indices(good.shape, sparse=True)
         at_end, at_good = ok(i, j, end), ok(i, j, good)
@@ -426,8 +409,8 @@ class Evaluator:
             return edge
         zg, zb = good[ii, jj], end[ii, jj]  # ok holds at zg and fails at zb
         step = np.spacing(np.maximum(np.abs(zg), np.abs(zb)))
-        side, dx, k1, k2, o, r = lane(ii, jj)  # u times the test is k2 u^2 + k1 u + k0
-        two = np.isnan(side)
+        side, dx, k1, k2, o, r, side2, dx2 = lane(ii, jj)  # u times the test is k2 u^2 + k1 u + k0
+        two = np.broadcast_to(side2 != 0, ii.shape)
         k0 = np.zeros(len(ii))
         with np.errstate(divide="ignore", invalid="ignore"):
             for s, H in ((-1, self.model.left), (1, self.model.right)):
@@ -438,6 +421,7 @@ class Evaluator:
                     if at.any():
                         hit = ok(ii, jj, np.where(at, z, zg))
                         zg, zb = np.where(at & hit, z, zg), np.where(at & ~hit, z, zb)
+                m &= ~two  # the quadratic holds one leg
                 d, u = dx[m], (r * (0.5 * (zg + zb) - o))[m]  # the leg at mid-bracket
                 p = np.searchsorted(c1[1:], d / u, side="right")
                 mid = (d > H.dhr * u) & (d < H.dh0 * u)  # else W = 0 or -R dx
@@ -450,9 +434,23 @@ class Evaluator:
         near = np.nan_to_num(np.abs(roots - 0.5 * (lo + hi)), nan=np.inf)
         z = roots[np.argmin(near, axis=0), np.arange(len(ii))]
         z = np.where(np.isfinite(z), np.clip(z, lo, hi), zg)
+        if two.any():  # f(z) and its slope, with -leg_level the rate of a leg's cost
+            c, v, s1, d1, o1, r1, s2, d2 = (np.broadcast_to(a, ii.shape)[two]
+                                            for a in (k1, k2, side, dx, o, r, side2, dx2))
+            z2, toward, cost, level = zb[two], zg[two], Hamiltonian.leg_cost, Hamiltonian.leg_level
+            own = self.model.own_side
+            with np.errstate(divide="ignore", invalid="ignore"):
+                while True:
+                    u = r1 * (z2 - o1)
+                    f = c + v * u + own(cost, s1, d1, u) + own(cost, s2, d2, z2)
+                    df = r1 * (v - own(level, s1, d1, u)) - own(level, s2, d2, z2)
+                    new = np.clip(z2 - f / df, lo[two], hi[two])
+                    moved = (new - z2) * (toward - z2) > 0
+                    if not moved.any():
+                        break
+                    z2 = np.where(moved, new, z2)
+            z[two] = z2
         del side, dx, k0, k1, k2, o, q, roots, near  # fewer live arrays in the checks below
-        if two.any():
-            z[two] = _bisect(lambda y: ok(ii[two], jj[two], y), zg[two], zb[two])
         bad = ~ok(ii, jj, z)
         while bad.any():
             z = np.where(bad, np.clip(z + np.sign(zg - zb) * step, lo, hi), z)
@@ -460,24 +458,6 @@ class Evaluator:
             bad &= ~ok(ii, jj, z)
         edge[ii, jj] = z
         return edge
-
-
-def _bisect(ok, good, bad):
-    """The good-side end of the bracket [good, bad] around the switch of ok.
-
-    ok holds at good, fails at bad and switches once between them. The
-    bracket halves until it is one ulp of its starting magnitude wide.
-    """
-    good, bad = np.array(good, dtype=float), np.array(bad, dtype=float)
-    res = np.spacing(np.maximum(np.abs(good), np.abs(bad)))
-    while True:
-        live = np.abs(bad - good) > res
-        if not live.any():
-            return good
-        mid = 0.5 * (good + bad)
-        hit = ok(mid)
-        good = np.where(live & hit, mid, good)
-        bad = np.where(live & ~hit, mid, bad)
 
 
 # ---- module-level operations -------------------------------------------------

@@ -121,6 +121,13 @@ class TestSolveCL:
         assert out.rho.max() <= 1.0 + 1e-12
         assert out.mass_balance_error <= 1e-12
 
+    def test_cells_too_narrow_to_advance_raise(self, model):
+        # a CFL step of about 9e-301 leaves t = 2 where it is: the march would never end
+        faces = make_grid(-1e-300, 1e-300, 2)
+        A = Control((0.0, 2.0), (-0.25,))
+        with pytest.raises(SolverError, match="does not advance"):
+            solve_cl(model, np.full(2, 0.8), faces, A, np.array([0.0, 2.0]))
+
     def test_cfl_validation(self, model):
         faces = make_grid(-1.0, 1.0, 10)
         with pytest.raises(SolverError):

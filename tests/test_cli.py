@@ -150,6 +150,14 @@ class TestRunOptions:
             assert "must be a finite number" in err
         assert "J(" not in out
 
+    def test_crosscheck_cells_too_narrow_exit_2(self, tmp_path, capsys):
+        cfg = dict(solve_config(), crosscheck=dict(xmin=-1e-300, xmax=1e-300, cells=2))
+        path = write_config(tmp_path, cfg)
+        assert main(["crosscheck", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: [crosscheck] the CFL step" in err and "does not advance" in err
+        assert not (tmp_path / "o" / "crosscheck.json").exists()
+
     @pytest.mark.parametrize("bad", ["0", "x"])
     def test_bad_workers_flag_exits_2(self, tmp_path, bad):
         with pytest.raises(SystemExit) as exc:

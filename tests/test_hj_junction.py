@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,6 @@ from junctionflow import (
     value_grid,
     weak_star_square_wave,
 )
-from junctionflow import hj_junction
 from junctionflow.dp_oracle import _dp_domain, _dp_side_step, _exit_legs
 from junctionflow.hj_junction import _SELECT_BLOCK, TIE_SCALE, Evaluator, brute_force_field
 
@@ -398,6 +399,13 @@ def two_sided_exit_cost(ev, x, t, b):
     return np.where(x == 0, np.where(s == 0.0, 0.0, np.inf), w)
 
 
+def two_sided_piece(ev, tab, idx, z):
+    """The kink-fan leg priced on both sides at every lane, then picked by the side."""
+    e, side = tab["e"][idx], tab["side"][idx]
+    leg = np.where(side < 0, ev.model.left.leg_cost(-e, z), ev.model.right.leg_cost(-e, z))
+    return tab["c"][idx] + tab["v"][idx] * z + np.where(side != 0, leg, 0.0)
+
+
 def single_slope_tab_case():
     model, _ = tab_case()
     return model, InitialData((), (P_SLOPE,), capacities=(1.0, 1.0))
@@ -416,6 +424,11 @@ class TestExitCost:
                      (x[:40, None], t[:40, None], b[None, :30] * t[:40, None] / t[None, :30]),
                      (0.0, 1.0, 1.0), (0.3, 1.0, 1.0), (-0.3, 1.0, 0.4)]:
             assert np.array_equal(ev.exit_cost(*args), two_sided_exit_cost(ev, *args))
+        # the kink-fan leg of the trace segments and of the pieces of G + I
+        for tab, idx, z in [(ev._seg, slice(None), t[:, None] * rng.random((400, len(ev._seg["lo"])))),
+                            (ev._phi, slice(None), t[:, None] * rng.random((400, len(ev._phi["lo"])))),
+                            (ev._seg, rng.integers(0, len(ev._seg["lo"]), 400), b)]:
+            assert np.array_equal(ev._piece(tab, idx, z), two_sided_piece(ev, tab, idx, z))
 
 
 def bisected_edges(self, ok, good, end, fill, lane):
@@ -452,11 +465,7 @@ class TestBandEdges:
         ev = Evaluator(model, u0, random_control(rng, model.A0, cells=cells))
         x = np.where(rng.random(24) < 0.1, 0.0, rng.uniform(-1.5, 1.5, 24))
         t = rng.uniform(0.05, T_HORIZON, 24)
-        calls, bisect = [], hj_junction._bisect
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hj_junction, "_bisect", lambda *a: calls.append(1) or bisect(*a))
-            got = {sel: ev.selection(x, t, sel) for sel in (MOST_AT_ZERO, LEAST_AT_ZERO)}
-        assert ev._fans or not calls  # a fan-free model bisects nowhere
+        got = {sel: ev.selection(x, t, sel) for sel in (MOST_AT_ZERO, LEAST_AT_ZERO)}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Evaluator, "_edges", bisected_edges)
             old = {sel: ev.selection(x, t, sel) for sel in (MOST_AT_ZERO, LEAST_AT_ZERO)}
@@ -478,6 +487,96 @@ class TestBandEdges:
                 g = 0.0 if a[k] == 0 else float(ev.approach_cost(a[k])[0])
                 cost = g + ev.A.cumulative(a[k]) - ev.A.cumulative(b[k]) + exit_
                 assert cost <= thresh + 1e-14 * (1.0 + abs(v[k]))
+
+
+# ---- the kink-fan level ------------------------------------------------------------
+
+
+def bisected_fan_ends(ev, x, t):
+    """The fan stay ends as the bisection on the flux level found them, at both
+    ends of its last bracket: (b at the late end, b at the early end).
+
+    The level halves until its bracket is one ulp of its starting magnitude
+    wide; where an exit speed nears 0, that ulp spans more than 1e-12 in b.
+    """
+    L, R, fan = ev.model.left, ev.model.right, ev._seg["side"] != 0
+    e, side = np.abs(ev._seg["e"][fan]), ev._seg["side"][fan]
+    good = np.maximum(np.where(side < 0, L.h_min, R.h_min), np.where(x < 0, L.h_min, R.h_min))
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t), e.shape)
+    good, bad = np.broadcast_to(good, shape).copy(), np.zeros(shape)
+    res = np.spacing(np.abs(good))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exit_time = lambda h: np.where(x == 0, 0.0, np.abs(x) / ev.model.speed(x, h, False))
+        while np.any(live := np.abs(bad - good) > res):
+            mid = 0.5 * (good + bad)
+            hit = e / ev.model.speed(side, mid, True) + exit_time(mid) >= t
+            good, bad = np.where(live & hit, mid, good), np.where(live & ~hit, mid, bad)
+        return tuple(np.clip(t - exit_time(h), 0.0, t) for h in (good, bad))
+
+
+def four_piece_symmetric_case():
+    model, _ = canonical_case()
+    return model, tab_case()[1]
+
+
+FAN_CASES = {"symmetric": four_piece_symmetric_case, "asymq": asym_case, "tabulated": tab_case}
+
+
+class TestFanLevel:
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(sorted(FAN_CASES)), cells=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stay_end_solves_the_fan_level(self, case, cells, seed):
+        model, u0 = FAN_CASES[case]()
+        rng = np.random.default_rng(seed)
+        ev = Evaluator(model, u0, random_control(rng, model.A0, cells=cells))
+        assert ev._fans
+        x = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, 40)])[None, :, None]  # both sides and 0
+        t = rng.uniform(0.05, T_HORIZON, 30)[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            b = ev._fan_ends(x, t)
+        late_end, early_end = bisected_fan_ends(ev, x, t)
+        tol = 1e-12 * (1.0 + np.abs(b))
+        assert np.all((late_end - tol <= b) & (b <= early_end + tol))
+        if case == "symmetric":  # both legs on one parabola: b = t E / (E + X)
+            E, X = np.abs(ev._seg["e"][ev._seg["side"] != 0]), np.abs(x)
+            speed = model.left.dh0  # at h = 0
+            early = (x != 0) & (E / speed + X / speed < t)
+            closed = np.broadcast_to(np.minimum(t * E / (E + X), t), b.shape)
+            assert early.any() and np.array_equal(b[early], closed[early])
+
+
+    @pytest.mark.parametrize("case", sorted(FAN_CASES))
+    def test_two_leg_b_edges_match_the_bisection(self, case):
+        """A datum with convex kinks makes fan paths win, so b-edges on fan
+        segments, whose test holds the approach and the exit leg, are found by
+        Newton steps; they match the bisected edges (the a-edges are left to
+        TestBandEdges)."""
+        model, _ = FAN_CASES[case]()
+        R = model.right.R
+        u0 = InitialData((-1.0, -0.3, 0.6), (-0.9, -0.5, -0.2, -0.6 * R), capacities=(1.0, R))
+        two_legs, edges = [], Evaluator._edges
+
+        def counted(ev, ok, good, end, fill, lane):
+            at_good, at_end = (ok(*np.indices(good.shape, sparse=True), z) for z in (good, end))
+            ii, jj = np.nonzero(at_good & ~at_end)
+            two_legs.append(np.count_nonzero(np.broadcast_to(lane(ii, jj)[6] != 0, ii.shape)))
+            return edges(ev, ok, good, end, fill, lane)
+
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            ev = Evaluator(model, u0, random_control(rng, model.A0, cells=int(rng.integers(1, 6))))
+            x, t = rng.uniform(0.0, 1.5, 48), rng.uniform(0.05, T_HORIZON, 48)
+            for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(Evaluator, "_edges", counted)
+                    dwell, _, b, v = ev.selection(x, t, sel)[:4]
+                    mp.setattr(Evaluator, "_edges", bisected_edges)
+                    old = ev.selection(x, t, sel)
+                assert np.array_equal(dwell, old[0]) and np.array_equal(v, old[3])
+                assert np.all(np.abs(b - old[2])[dwell] <= 1e-10 * (1.0 + np.abs(old[2][dwell])))
+        assert sum(two_legs) > 0
 
 
 # ---- the lattice DP oracle -------------------------------------------------------
