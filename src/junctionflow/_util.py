@@ -1,9 +1,7 @@
-"""Small shared helpers: JSON hygiene, the one CSV writer, a sorted
-dedupe and an unused order-preserving map."""
+"""Small shared helpers: the one CSV writer, a sorted dedupe and an
+order-preserving map that only the benchmark's tracer names."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,14 +23,3 @@ def write_csv(path, header, *columns):
     rows = np.column_stack([np.ravel(c) for c in columns])
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
-
-def reject_non_finite(obj, path="$"):
-    """Raise if a JSON-bound structure contains NaN or infinities."""
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            reject_non_finite(v, f"{path}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            reject_non_finite(v, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"non-finite value at {path}")

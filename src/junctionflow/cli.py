@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import _toml
-from ._util import reject_non_finite, write_csv
+from ._util import write_csv
 from .cl_oracle import DensityField, cross_check, density_from_value_field, make_grid
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel
@@ -276,10 +276,10 @@ class _Builder:
 
 
 def _write_json(path, obj):
-    reject_non_finite(obj)
+    """obj as sorted, indented JSON; a NaN or infinity raises before the file opens."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_density_csv(path, field):

@@ -7,10 +7,13 @@ psi1(x) * psi2'(t): psi1 is a C^1 plateau bump supported exactly on
 (x1, x2) x (t3, t4). The linear control term f(A) = c * A is integrated
 exactly against the piecewise-constant control.
 
-J never reads u where phi vanishes, so the cost evaluates u^A only on the
-tensor sub-mesh of the rows and columns where phi is nonzero and writes 0
-at every other node. phi u is formed before the trapezoid weights multiply
-in, so J is bitwise the sum over the full-mesh field.
+J never reads u where phi vanishes, so cost_report evaluates phi on the
+mesh once, checks once that it vanishes on the mesh edge, and draws u^A
+only on the tensor sub-mesh of the rows and columns where phi is nonzero,
+with 0 at every other node. phi u is formed before the trapezoid weights
+multiply in, in the one sum field_term also uses, so J is bitwise the sum
+over the full-mesh field. SampledWeight serves as a test weight; no
+command builds one.
 """
 
 from __future__ import annotations
@@ -174,15 +177,19 @@ def quadrature(phi_vals: np.ndarray, mesh: Mesh, values: np.ndarray):
     return np.einsum("i,j,ij,ij...->...", wx, wt, phi_vals, values)
 
 
-def field_term(spec: CostSpec, field: ValueField) -> float:
-    """Tensor-product trapezoidal quadrature of phi * u over the field mesh."""
-    mesh = Mesh(field.xs, field.ts)
-    phi_vals = spec.weight.phi_grid(mesh)
+def _phi_u_term(phi_vals: np.ndarray, mesh: Mesh, u: np.ndarray) -> float:
+    """The trapezoid sum of phi u, after checking that phi vanishes on the mesh edge."""
     _check_support(phi_vals, "mesh")
     # phi u is formed before the weights multiply in, as J has always been
     # summed: J is flat to the last bit on the optimal plateau, so a change
     # of product order could move the reported switch
-    return float(quadrature(phi_vals * field.u, mesh, np.ones((1, 1))))
+    return float(quadrature(phi_vals * u, mesh, np.ones((1, 1))))
+
+
+def field_term(spec: CostSpec, field: ValueField) -> float:
+    """Tensor-product trapezoidal quadrature of phi * u over the field mesh."""
+    mesh = Mesh(field.xs, field.ts)
+    return _phi_u_term(spec.weight.phi_grid(mesh), mesh, field.u)
 
 
 def cost(model, u0, spec: CostSpec, A: Control, mesh: Mesh) -> float:
@@ -190,11 +197,12 @@ def cost(model, u0, spec: CostSpec, A: Control, mesh: Mesh) -> float:
     return cost_report(model, u0, spec, A, mesh)["J"]
 
 
-def _support_values(model, u0, A: Control, mesh: Mesh, spec: CostSpec) -> np.ndarray:
-    """u^A on the rows and columns of the mesh where phi is nonzero, 0 elsewhere.
+def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh):
+    """J(A) with its field and linear terms and the quadrature mesh.
 
-    The model, the control and the full mesh are checked as value_grid
-    checks them, also when the support is empty.
+    u^A is drawn on the rows and columns of the mesh where phi is nonzero
+    and is 0 elsewhere. The model, the control and the full mesh are
+    checked as value_grid checks them, also when the support is empty.
     """
     phi = spec.weight.phi_grid(mesh)
     rows, cols = np.flatnonzero(phi.any(axis=1)), np.flatnonzero(phi.any(axis=0))
@@ -205,32 +213,10 @@ def _support_values(model, u0, A: Control, mesh: Mesh, spec: CostSpec) -> np.nda
     else:
         hj_junction.Evaluator(model, u0, A)  # checks the model and the control
     hj_junction.check_mesh(mesh, A)
-    return u
-
-
-def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh):
-    """J(A) with its field and linear terms and the quadrature mesh."""
-    jf = field_term(spec, ValueField(mesh.xs, mesh.ts, _support_values(model, u0, A, mesh, spec)))
+    jf = _phi_u_term(phi, mesh, u)
     jl = spec.linear_coeff * integrate(A, 0.0, A.horizon) if spec.linear_coeff else 0.0
     return dict(J=jf + jl, J_field_term=jf, J_linear_term=jl,
                 mesh=dict(nx=len(mesh.xs), nt=len(mesh.ts),
                           xmin=float(mesh.xs[0]), xmax=float(mesh.xs[-1]),
                           tmin=float(mesh.ts[0]), tmax=float(mesh.ts[-1])))
 
-
-def cost_weighted_density(model, u0, xi_values: np.ndarray, A: Control, mesh: Mesh) -> float:
-    """Density-weighted cost via -integral(xi_x u^A); xi sampled on the mesh.
-
-    Centered differences for xi_x in the interior, one-sided at the mesh
-    edges (where a compactly supported xi vanishes anyway).
-    """
-    xi = np.asarray(xi_values, dtype=float)
-    if xi.shape != (len(mesh.xs), len(mesh.ts)):
-        raise FunctionalError("xi samples must match the mesh shape")
-    phi = np.empty_like(xi)
-    xs = mesh.xs
-    phi[1:-1, :] = -(xi[2:, :] - xi[:-2, :]) / (xs[2:] - xs[:-2])[:, None]
-    phi[0, :] = -(xi[1, :] - xi[0, :]) / (xs[1] - xs[0])
-    phi[-1, :] = -(xi[-1, :] - xi[-2, :]) / (xs[-1] - xs[-2])
-    spec = CostSpec(SampledWeight(mesh.xs, mesh.ts, phi))
-    return cost_report(model, u0, spec, A, mesh)["J_field_term"]

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._util import sorted_unique, write_csv
 from .controls import Control
-from .dp_oracle import _dp_domain, _dp_side_step, _exit_legs
+from .dp_oracle import _dp_side_step, _exit_legs
 from .flux_models import Hamiltonian, InitialData, JunctionModel, ModelError
 
 MOST_AT_ZERO = "MostAtZero"
@@ -303,21 +303,6 @@ class Evaluator:
             out[r : r + step] = cost.min(axis=2)
         return out
 
-    # ---- values ----------------------------------------------------------------
-
-    def value(self, x: float, t: float):
-        """u^A(x, t) along with an achieving descriptor."""
-        self._check_time(t)
-        x, t = float(x), float(t)
-        f1, y1 = (float(v[0]) for v in self.straight_value(np.array([x]), t, need_y=True))
-        b, cost = (v[0] for v in self._stay_ends(np.array([[x]]), t))
-        j = int(np.argmin(cost))
-        vd, b = float(cost[j]), float(b[j])
-        if vd >= f1:
-            return f1, TrajectoryDescriptor(x, t, "straight", y1, f1)
-        a, y, _ = (float(v[0]) for v in self._dwell_start(np.fmin(self._seg["a"][[j]], b)))
-        return vd, TrajectoryDescriptor(x, t, "dwell", y, vd, a, b)
-
     def _dwell_start(self, a):
         """Dwell starts a, first-leg starts y and approach costs G(a); a dwell that
         is entered from y = 0 hovers at the junction and snaps to a = 0."""
@@ -463,10 +448,18 @@ class Evaluator:
 # ---- module-level operations -------------------------------------------------
 
 
+def _selected(model, u0, A, x, t, select: str):
+    """u^A(x, t) and the descriptor of the path select picks, from one selection."""
+    x, t = float(x), float(t)
+    dwells, a, b, v, y, cost = (float(r[0]) for r in Evaluator(model, u0, A).selection(x, t, select))
+    if dwells:
+        return v, TrajectoryDescriptor(x, t, "dwell", y, cost, a, b)
+    return v, TrajectoryDescriptor(x, t, "straight", y, cost)
+
+
 def value(model, u0, A, x, t):
-    """u^A(x, t) and a best descriptor (straight or dwell)."""
-    ev = Evaluator(model, u0, A)
-    return ev.value(x, t)
+    """u^A(x, t) and the MostAtZero descriptor, as optimal_trajectory selects it."""
+    return _selected(model, u0, A, x, t, MOST_AT_ZERO)
 
 
 def _grid_block(ev: Evaluator, xs, ts_block):
@@ -499,11 +492,7 @@ def value_grid(model, u0, A, mesh: Mesh) -> ValueField:
 
 def optimal_trajectory(model, u0, A, x, t, select: str) -> TrajectoryDescriptor:
     """Best descriptor under the MostAtZero / LeastAtZero tie rule."""
-    x, t = float(x), float(t)
-    dwells, a, b, _, y, cost = (v[0] for v in Evaluator(model, u0, A).selection(x, t, select))
-    if dwells:
-        return TrajectoryDescriptor(x, t, "dwell", float(y), float(cost), float(a), float(b))
-    return TrajectoryDescriptor(x, t, "straight", float(y), float(cost))
+    return _selected(model, u0, A, x, t, select)[1]
 
 
 def trajectory_field(model, u0, A, mesh: Mesh, select: str):
@@ -526,7 +515,7 @@ def trajectory_field(model, u0, A, mesh: Mesh, select: str):
     return {key: v.reshape(len(mesh.xs), len(mesh.ts)) for key, v in out.items()}
 
 
-def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None):
+def brute_force_field(model, u0, A, t, lattice=(200, 200), *, domain):
     """DP oracle on the whole lattice: (nodes, times, V), V[i, k] ~ u(nodes[i], times[k]).
 
     Paths are piecewise linear with vertices at lattice times, positions
@@ -538,15 +527,16 @@ def brute_force_field(model, u0, A, t, lattice=(200, 200), domain=None):
     (Lax-Hopf with an internal boundary condition), so long exit legs are
     not chained through interpolated steps. First-order accurate: the error
     left is the linear interpolation of the value between abscissae.
-    domain must hold x = 0 in its interior; by default it spans 1.05 times
-    the fastest characteristic reach over t on each side.
+    domain must hold x = 0 in its interior. Node x keeps every path whose
+    legs move at characteristic speeds where the domain holds
+    dp_oracle._dp_domain(model, t, x); nearer the domain's ends paths are
+    cut, so values there can lie above u by more than the first-order error.
     """
     nx, nt = lattice
     if nx < 8 or nt < 8:
         raise SolverError("lattice must be at least 8x8")
     if t <= 0 or t > A.horizon + 1e-12:
         raise SolverError(f"t = {t} outside (0, {A.horizon}]")
-    domain = _dp_domain(model, t) if domain is None else domain
     if not domain[0] < 0.0 < domain[1]:
         raise SolverError(f"DP domain ({domain[0]}, {domain[1]}) must contain x = 0 in its interior")
     Hl, Hr = model.left, model.right

@@ -5,14 +5,16 @@ indicator of selected optimal trajectories: with
 
   D(s) = integral over {t > s} of phi(x, t) 1{selected path dwells at s}
 
-summed by the same trapezoid quadrature as the field term of J (one
-einsum over a node-by-sample mask gives D at every sample time), a
+summed by the same trapezoid quadrature as the field term of J, a
 minimizer must satisfy D_plus(s) <= f'(A(s)) wherever the limiter can be
 raised (A < 0) and D_minus(s) >= f'(A(s)) wherever it can be lowered
 (A > A0), with D_plus / D_minus computed from the most- / least-at-zero
 selections. Past the left end of the last connected component of
 {u^A(0,.) < u^free(0,.)} the two selections coincide and the inequality
-tightens to the sign trichotomy in A.
+tightens to the sign trichotomy in A. check_optimality draws each
+selection once, as a trajectory field on the mesh, and _dwell_measures
+reads D at every sample time from it in one einsum over a node-by-sample
+mask.
 """
 
 from __future__ import annotations
@@ -92,13 +94,6 @@ def _dwell_measures(phi_vals, mesh: Mesh, tfield, s):
     mask &= s <= tfield["b"][..., None]
     mask &= mesh.ts[:, None] > s
     return quadrature(phi_vals, mesh, mask)
-
-
-def dwell_measure(model, u0, A, spec: CostSpec, s: float, select: str, mesh: Mesh,
-                  _tfield=None) -> float:
-    """Weighted measure of mesh points past s whose selected path dwells at s."""
-    tf = _tfield if _tfield is not None else trajectory_field(model, u0, A, mesh, select)
-    return float(_dwell_measures(spec.weight.phi_grid(mesh), mesh, tf, [s])[0])
 
 
 def default_s_samples(T: float, A: Control, n: int = 128):

@@ -23,7 +23,7 @@ from junctionflow.cl_oracle import GermElement, cross_check, make_grid, solve_cl
 from junctionflow.cli import EXIT_OK, main
 from junctionflow.functionals import cost
 from junctionflow.hj_junction import brute_force_field
-from junctionflow.optimality import check_optimality, component_report, dwell_measure
+from junctionflow.optimality import _dwell_measures, check_optimality, component_report
 from junctionflow.optimizer import BangBangPattern, optimize_bangbang, pattern_extract
 
 from conftest import H_OF_P, P_SLOPE, T_HORIZON, random_control
@@ -192,8 +192,7 @@ def test_criterion_09_optimality_audit(model, u0, box_spec, functional_mesh, bb_
     from junctionflow import trajectory_field, MOST_AT_ZERO
 
     tf = trajectory_field(model, u0, bb_result.control, functional_mesh, MOST_AT_ZERO)
-    hs = [dwell_measure(model, u0, bb_result.control, box_spec, s, MOST_AT_ZERO,
-                        functional_mesh, _tfield=tf) for s in ss]
+    hs = _dwell_measures(box_spec.weight.phi_grid(functional_mesh), functional_mesh, tf, ss)
     noise = audit.tolerances["tol_opt"]
     monotone = all(hs[i + 1] <= hs[i] + noise for i in range(len(hs) - 1))
     nonneg = min(hs) >= -noise

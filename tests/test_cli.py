@@ -9,7 +9,7 @@ import pytest
 from junctionflow import Control, Mesh, _toml, junction_values, value_grid
 from junctionflow._util import write_csv
 from junctionflow.cl_oracle import DensityField, density_from_value_field
-from junctionflow.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, canonical_config, main
+from junctionflow.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, _write_json, canonical_config, main
 
 from conftest import H_OF_P, P_SLOPE
 
@@ -67,6 +67,15 @@ class TestCsvWriter:
             write(tmp_path / name)
             row_loop_csv(tmp_path / ("ref-" + name), header, rows)
             assert (tmp_path / name).read_bytes() == (tmp_path / ("ref-" + name)).read_bytes(), name
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_non_finite_value_raises_and_writes_no_file(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _write_json(path, dict(J=-0.04, audit=dict(samples=[dict(s=0.5, H_plus=bad)])))
+        assert not path.exists()
 
 
 class TestTomlRoundTrip:

@@ -12,7 +12,6 @@ from junctionflow.functionals import (
     SampledWeight,
     cost,
     cost_report,
-    cost_weighted_density,
     field_term,
     make_box_weight,
 )
@@ -237,33 +236,3 @@ class TestSupportSubMesh:
         with pytest.raises(ModelError, match="capacities"):
             cost(model, u0, spec, Control((0.0, T_HORIZON), (0.0,)), functional_mesh)
 
-
-class TestWeightedDensity:
-    def test_zero_weight(self, model, u0, blocked):
-        mesh = Mesh.regular(0.0, 0.3, 11, 2.0, 9)
-        assert cost_weighted_density(model, u0, np.zeros((11, 9)), blocked, mesh) == 0.0
-
-    def test_x_independent_weight_vanishes_inside(self, model, u0, free_flow):
-        mesh = Mesh.regular(-0.5, 0.5, 41, 2.0, 9)
-        ts = mesh.ts
-        xi = np.broadcast_to(np.sin(np.pi * ts / 2.0)[None, :], (41, 9)).copy()
-        # xi_x = 0 in the interior; only the one-sided boundary columns remain,
-        # and those see the exact field values, so the defect is tiny
-        val = cost_weighted_density(model, u0, xi, free_flow, mesh)
-        assert abs(val) <= 1e-10 or abs(val) <= 0.2  # boundary strips only
-
-    def test_integration_by_parts_identity(self, model, u0, switching):
-        mesh = Mesh.regular(0.02, 0.4, 96, 5.8, 120, tmin=0.2)
-        X = mesh.xs[:, None]
-        Tm = mesh.ts[None, :]
-        psi_x = np.clip(np.sin(np.pi * (X - 0.05) / 0.3), 0.0, None) ** 2
-        psi_x = np.where((X > 0.05) & (X < 0.35), psi_x, 0.0)
-        theta_t = np.where((Tm > 0.5) & (Tm < 5.5), np.sin(np.pi * (Tm - 0.5) / 5.0) ** 2, 0.0)
-        xi = psi_x * theta_t
-        # phi = -d/dx xi via the same centered differences used internally
-        phi = np.zeros_like(xi)
-        phi[1:-1, :] = -(xi[2:, :] - xi[:-2, :]) / (mesh.xs[2:] - mesh.xs[:-2])[:, None]
-        direct = cost_weighted_density(model, u0, xi, switching, mesh)
-        spec = CostSpec(SampledWeight(mesh.xs, mesh.ts, phi))
-        via_cost = cost(model, u0, spec, switching, mesh)
-        assert direct == pytest.approx(via_cost, abs=1e-12)

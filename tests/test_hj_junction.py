@@ -36,6 +36,12 @@ from conftest import (
 )
 
 
+# one-slope data, and 4-piece data with concave and with convex kinks, by the right capacity R
+DATA = {"one-slope": lambda R: ((), (P_SLOPE,)),
+        "concave-kinks": lambda R: ((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -0.9 * R)),
+        "convex-kinks": lambda R: ((-1.0, -0.3, 0.6), (-0.9, -0.5, -0.2, -0.6 * R))}
+
+
 class TestValue:
     def test_free_flow_closed_form(self, model, u0, free_flow):
         v, best = value(model, u0, free_flow, 0.3, 1.0)
@@ -65,6 +71,26 @@ class TestValue:
         with pytest.raises(SolverError):
             value(model, u0, bad, 0.0, 1.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(["symmetric", "asymq", "tabulated"]), datum=st.sampled_from(sorted(DATA)),
+           cells=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @example(case="symmetric", datum="one-slope", cells=0, seed=0)
+    def test_value_is_the_most_at_zero_selection(self, case, datum, cells, seed):
+        """value's u is value_grid's to the bit on a one-node mesh, and its
+        descriptor is optimal_trajectory's MostAtZero selection."""
+        model = {"symmetric": canonical_case, "asymq": asym_case, "tabulated": tab_case}[case]()[0]
+        R = model.right.R
+        u0 = InitialData(*DATA[datum](R), capacities=(model.left.R, R))
+        rng = np.random.default_rng(seed)
+        A = (Control((0.0, 1.5, T_HORIZON), (0.0, model.A0)) if cells == 0  # the canonical switch
+             else random_control(rng, model.A0, cells=cells))
+        nodes = [(0.3, 2.0)] + [(0.0 if rng.random() < 0.15 else float(rng.uniform(-2.0, 2.0)),
+                                 float(rng.uniform(0.05, T_HORIZON))) for _ in range(12)]
+        for x, t in nodes:
+            v, d = value(model, u0, A, x, t)
+            assert d == optimal_trajectory(model, u0, A, x, t, MOST_AT_ZERO), (x, t)
+            assert v == value_grid(model, u0, A, Mesh(np.array([x]), np.array([t]))).u[0, 0], (x, t)
+
 
 class TestValueGrid:
     def test_free_flow_grid(self, model, u0, free_flow):
@@ -77,12 +103,6 @@ class TestValueGrid:
         mesh = Mesh.regular(-1.0, 1.0, 21, 2.0, 5)
         f = value_grid(model, u0, switching, mesh)
         assert np.abs(f.u[:, 0] - u0.eval(mesh.xs)).max() == 0.0
-
-    def test_single_node_matches_value(self, model, u0, switching):
-        mesh = Mesh(np.array([0.3]), np.array([2.0]))
-        f = value_grid(model, u0, switching, mesh)
-        v, _ = value(model, u0, switching, 0.3, 2.0)
-        assert f.u[0, 0] == pytest.approx(v, abs=1e-14)
 
 
 class TestMonotonicity:
@@ -314,7 +334,7 @@ class TestExactEvaluator:
             for _ in range(12):
                 x = 0.0 if rng.random() < 0.15 else float(rng.uniform(-2.0, 2.0))
                 t = float(rng.uniform(0.1, T_HORIZON))
-                v, _ = ev.value(x, t)
+                v, _ = value(model, u0, A, x, t)
                 assert v <= scan_cost(ev, x, t) + 1e-12
                 for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
                     d = optimal_trajectory(model, u0, A, x, t, sel)
@@ -686,10 +706,12 @@ class TestDPOracle:
             brute_force_field(model, u0, A, 1.0, (40, 40), domain=domain)
 
     def test_default_domain_is_the_point_rule_at_zero(self):
-        # brute_force_value at x = 0 spans the field's default domain
+        # the field takes no default domain; brute_force_value at x = 0 spans _dp_domain's
         model, u0 = asym_case()
         A = random_control(np.random.default_rng(9), model.A0)
-        nodes, _, V = brute_force_field(model, u0, A, 2.0, (60, 60))
+        with pytest.raises(TypeError, match="domain"):
+            brute_force_field(model, u0, A, 2.0, (60, 60))
+        nodes, _, V = brute_force_field(model, u0, A, 2.0, (60, 60), domain=_dp_domain(model, 2.0))
         reach_l = max(model.left.dh0, model.right.dh0)
         reach_r = max(-model.left.dhr, -model.right.dhr)
         assert (nodes[0], nodes[-1]) == (-1.05 * reach_l * 2.0, 1.05 * reach_r * 2.0)

@@ -4,12 +4,7 @@ import pytest
 from junctionflow import (Control, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh, junction_values, optimality,
                           trajectory_field)
 from junctionflow.functionals import CostSpec, SampledWeight
-from junctionflow.optimality import (
-    check_optimality,
-    component_report,
-    default_s_samples,
-    dwell_measure,
-)
+from junctionflow.optimality import check_optimality, component_report, default_s_samples
 
 from conftest import T_HORIZON, asym_case, random_control, trapezoid
 
@@ -45,43 +40,39 @@ class TestDwellMeasure:
         ref = [dwell_measure_reference(phi, functional_mesh, tf, v) for v in s]
         assert np.count_nonzero(ref) > 20
         assert np.array_equal(optimality._dwell_measures(phi, functional_mesh, tf, s), ref)
-        assert dwell_measure(model, u0, A, box_spec, s[7], select, functional_mesh, _tfield=tf) == ref[7]
 
     def test_zero_weight(self, model, u0, switching, functional_mesh):
         spec = CostSpec(SampledWeight(functional_mesh.xs, functional_mesh.ts,
                                       np.zeros((len(functional_mesh.xs), len(functional_mesh.ts)))))
-        assert dwell_measure(model, u0, switching, spec, 1.0, MOST_AT_ZERO, functional_mesh) == 0.0
+        phi = spec.weight.phi_grid(functional_mesh)
+        tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
+        assert optimality._dwell_measures(phi, functional_mesh, tf, [1.0]) == 0.0
 
     def test_beyond_support_is_zero(self, model, u0, switching, box_spec, functional_mesh):
-        assert dwell_measure(model, u0, switching, box_spec, 5.05, MOST_AT_ZERO,
-                             functional_mesh) == 0.0
+        phi = box_spec.weight.phi_grid(functional_mesh)
+        tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
+        assert optimality._dwell_measures(phi, functional_mesh, tf, [5.05]) == 0.0
 
     def test_nonincreasing_nonnegative_before_switch(self, model, u0, switching,
                                                      box_spec, functional_mesh):
         # on (s_bar_minus, tau) = (0, t2) for the canonical switching control
-        from junctionflow import trajectory_field
-
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         ss = np.linspace(0.15, 1.35, 9)
-        vals = [dwell_measure(model, u0, switching, box_spec, s, MOST_AT_ZERO,
-                              functional_mesh, _tfield=tf) for s in ss]
+        phi = box_spec.weight.phi_grid(functional_mesh)
+        vals = optimality._dwell_measures(phi, functional_mesh, tf, ss)
         tol = 2e-3
         assert min(vals) >= -tol
         assert all(vals[i + 1] <= vals[i] + tol for i in range(len(vals) - 1))
 
     def test_most_dominates_least_for_nonnegative_weight(self, model, u0, switching,
                                                          box, functional_mesh):
-        from junctionflow import trajectory_field
-
-        spec = clipped_spec(box, functional_mesh, +1)
+        phi = clipped_spec(box, functional_mesh, +1).weight.phi_grid(functional_mesh)
         tfp = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         tfm = trajectory_field(model, u0, switching, functional_mesh, LEAST_AT_ZERO)
-        for s in (0.3, 0.9, 1.2, 1.45):
-            hp = dwell_measure(model, u0, switching, spec, s, MOST_AT_ZERO,
-                               functional_mesh, _tfield=tfp)
-            hm = dwell_measure(model, u0, switching, spec, s, LEAST_AT_ZERO,
-                               functional_mesh, _tfield=tfm)
-            assert hp >= hm - 1e-12
+        ss = (0.3, 0.9, 1.2, 1.45)
+        hp = optimality._dwell_measures(phi, functional_mesh, tfp, ss)
+        hm = optimality._dwell_measures(phi, functional_mesh, tfm, ss)
+        assert np.all(hp >= hm - 1e-12)
 
 
 def verdicts_reference(audit, model, spec):
