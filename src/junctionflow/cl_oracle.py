@@ -3,9 +3,11 @@
 Independent of the variational evaluator: first-order finite volumes with the
 exact concave-flux Godunov formula in the interior and the admissible-trace
 junction flux min(-A, f_plus(left), f_minus(right)) on the face at x = 0.
-Used to cross-validate rho^A = -u^A_x. godunov_flux and junction_flux give
-one face each; solve_cl's step takes every face from one pair of flux
-branches per cell, bitwise the same numbers.
+Used to cross-validate rho^A = -u^A_x. junction_flux gives the face at 0
+alone; solve_cl's step takes every face from one pair of flux branches per
+cell, so an interior face is the exact Riemann flux
+min(f_plus(left), f_minus(right)) and the junction face is junction_flux,
+bitwise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from ._util import sorted_unique, write_csv
 from .controls import Control
-from .flux_models import Hamiltonian, JunctionModel, ModelError, flux_branches
+from .flux_models import JunctionModel, ModelError, flux_branches
 from .hj_junction import Mesh, SolverError, value_grid
 
 
@@ -50,14 +52,6 @@ class GermElement:
 
     def is_member(self, model: JunctionModel, tol: float = 1e-10) -> bool:
         return self.residual(model) <= tol
-
-
-def godunov_flux(H: Hamiltonian, rho_l, rho_r):
-    """Exact Riemann flux for the concave f: min(f_plus(left), f_minus(right))."""
-    fpl, _ = flux_branches(H, rho_l)
-    _, fmr = flux_branches(H, rho_r)
-    out = np.minimum(fpl, fmr)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _check_limiter(model: JunctionModel, A):
@@ -112,7 +106,7 @@ def solve_cl(
     min(f_plus[i], f_minus[i + 1]), each ghost face min(f_plus, f_minus) of
     its end cell, and the junction face min(-A(t), f_plus^L, f_minus^R) of
     the two cells beside x = 0, after the limiter's range check. These are
-    godunov_flux and junction_flux face by face, to the last bit.
+    the exact Riemann flux of each face and junction_flux, to the last bit.
     """
     if not 0.0 < cfl <= 1.0:
         raise SolverError(f"cfl must be in (0, 1], got {cfl}")

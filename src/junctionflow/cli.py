@@ -202,6 +202,8 @@ class _Builder:
             (x_lo, x_hi), (t_lo, t_hi) = weight.support()
             if x_lo < mesh.xs[0] or x_hi > mesh.xs[-1] or t_lo < mesh.ts[0] or t_hi > mesh.ts[-1]:
                 self.fail("[mesh] does not cover the weight support")
+            elif not weight.phi_grid(mesh).any():  # J and every D(s) would read 0
+                self.fail("[mesh] has no node where the weight is nonzero")
         return CostSpec(weight, linear_coeff=linear_coeff)
 
     def optimizer(self, horizon):

@@ -166,14 +166,30 @@ def _check_support(phi_vals: np.ndarray, where: str):
         raise FunctionalError(f"weight support leaks through the {where} boundary")
 
 
-def quadrature(phi_vals: np.ndarray, mesh: Mesh, values: np.ndarray):
+def support(phi_vals: np.ndarray):
+    """The mesh rows and columns where phi is nonzero.
+
+    Every node outside their tensor sub-mesh adds an exact zero to a
+    trapezoid sum of phi, so J and the dwell measures read u^A and the
+    dwell indicator only on that sub-mesh.
+    """
+    return np.flatnonzero(phi_vals.any(axis=1)), np.flatnonzero(phi_vals.any(axis=0))
+
+
+def quadrature(phi_vals: np.ndarray, mesh: Mesh, values: np.ndarray, sub=None):
     """Tensor-product trapezoid sum of phi * values over the mesh.
 
     values shaped (nx, nt) give one sum; (nx, nt, n) give one sum per
     trailing index. Boolean values go in as they are, with no float copy.
+    With sub = support(phi_vals), values hold only the nodes of that
+    sub-mesh; the sum adds the same nonzero terms in the same order, one
+    after another, so it is bitwise the full-mesh sum.
     """
     wx = _trapezoid_weights(mesh.xs)
     wt = _trapezoid_weights(mesh.ts)
+    if sub is not None:
+        rows, cols = sub
+        wx, wt, phi_vals = wx[rows], wt[cols], phi_vals[np.ix_(rows, cols)]
     return np.einsum("i,j,ij,ij...->...", wx, wt, phi_vals, values)
 
 
@@ -205,7 +221,7 @@ def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh):
     checked as value_grid checks them, also when the support is empty.
     """
     phi = spec.weight.phi_grid(mesh)
-    rows, cols = np.flatnonzero(phi.any(axis=1)), np.flatnonzero(phi.any(axis=0))
+    rows, cols = support(phi)
     u = np.zeros(phi.shape)
     if rows.size:
         sub = Mesh(mesh.xs[rows], mesh.ts[cols])

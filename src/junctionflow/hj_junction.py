@@ -327,7 +327,10 @@ class Evaluator:
         straight line. The b-edge is the furthest end of the band over the
         trace segments, the a-edge the extreme end of {G + I <= budget} over
         the pieces of G + I, each a root in closed form where the test holds
-        at most one leg (_edges). Returns per-node arrays (is_dwell, a, b,
+        at most one leg (_edges). Only the nodes where the selector dwells
+        run the edges and the dwell start; the b-edge's band test at the stay
+        ends is the one _stay_ends has priced. A node's result does not
+        depend on the other nodes. Returns per-node arrays (is_dwell, a, b,
         value), a and b NaN on straight paths, then the selected path's
         first-leg start y and cost.
         """
@@ -342,6 +345,13 @@ class Evaluator:
         thresh = v + TIE_SCALE * (1.0 + np.abs(v))
         most = select == MOST_AT_ZERO
         use_dwell = vd <= thresh if most else f1 > thresh
+        a_out, b_out = np.full(len(x), np.nan), np.full(len(x), np.nan)
+        k = np.flatnonzero(use_dwell)  # straight nodes keep (nan, nan, y1, f1)
+        if not k.size:
+            return use_dwell, a_out, b_out, v, y1, f1
+        at_b = cost[k] <= thresh[k, None]
+        x, t, thresh, b = x[k], t[k], thresh[k], b[k]
+        del cost  # node-by-segment arrays of every node
 
         S, P = self._seg, self._phi
         end = np.minimum(S["hi"], t[:, None]) + np.zeros_like(b)
@@ -349,34 +359,40 @@ class Evaluator:
                        np.nextafter(t, -np.inf)[:, None], end)
         edges = self._edges(lambda i, j, z: (S["lo"][j] <= z)
                             & (self._piece(S, j, z) + self.exit_cost(x[i], t[i], z) <= thresh[i]),
-                            b, end, -np.inf, lambda i, j: (  # the exit leg; fans add their approach
+                            b, at_b, end, -np.inf, lambda i, j: (  # the exit leg; fans add their approach
                                 np.sign(x[i]), x[i], S["c"][j] + S["v"][j] * t[i] - thresh[i],
                                 -S["v"][j], t[i], -1, S["side"][j], -S["e"][j]))
         j, b_sel = np.argmax(edges, axis=1), np.max(edges, axis=1)
-        del b, cost, end, edges  # node-by-segment arrays, not needed for the a-edge
+        del b, at_b, end, edges  # node-by-segment arrays, not needed for the a-edge
         b_sel = np.where(np.isfinite(b_sel), b_sel, t)  # no dwell path in the band
         psi = self.exit_cost(x, t, b_sel) - self.A.cumulative(b_sel)
         hi = np.minimum(P["hi"], b_sel[:, None])
-        ends = self._edges(lambda i, j, z: (P["lo"][j] <= z) & (z <= b_sel[i])
-                           & (self._piece(P, j, z) <= thresh[i] - psi[i]),
-                           np.clip(P["arg"], P["lo"], hi), P["lo"] + 0.0 * hi if most else hi,
+        good = np.clip(P["arg"], P["lo"], hi)
+
+        def ok(i, j, z):
+            return (P["lo"][j] <= z) & (z <= b_sel[i]) & (self._piece(P, j, z) <= thresh[i] - psi[i])
+
+        ends = self._edges(ok, good, ok(*np.indices(good.shape, sparse=True), good),
+                           P["lo"] + 0.0 * hi if most else hi,
                            np.inf if most else -np.inf,  # a leg from a kink, or none
                            lambda i, j: (P["side"][j], -P["e"][j], P["c"][j] - (thresh - psi)[i],
                                          P["v"][j], 0, 1, 0, 0))
         a_sel = ends.min(axis=1) if most else ends.max(axis=1)
         a_fb = np.fmin(S["a"][j], b_sel)  # the start of the segment's own path
         a_sel, y, g = self._dwell_start(np.where(np.isfinite(a_sel), a_sel, a_fb))
-        cost_sel = g + self.A.cumulative(a_sel) + psi
-        return (use_dwell, np.where(use_dwell, a_sel, np.nan), np.where(use_dwell, b_sel, np.nan),
-                v, np.where(use_dwell, y, y1), np.where(use_dwell, cost_sel, f1))
+        a_out[k], b_out[k], y1[k], f1[k] = a_sel, b_sel, y, g + self.A.cumulative(a_sel) + psi
+        return use_dwell, a_out, b_out, v, y1, f1
 
-    def _edges(self, ok, good, end, fill, lane):
+    def _edges(self, ok, good, at_good, end, fill, lane):
         """Per (node, piece): the end of {ok} reaching toward end on a convex piece.
 
-        ok(i, j, z) tests point z of piece j for node i. Where ok holds at end
-        that is the edge; where it holds only at good (the piece minimizer) it
-        is the crossing between them; elsewhere it is fill. lane(i, j) returns
-        (side, dx, c, v, o, r, side2, dx2), the test as
+        ok(i, j, z) tests point z of piece j for node i, lane by lane for
+        index arrays i and j; at_good is ok at good, the piece minimizer.
+        On a convex piece {ok} is an interval around good, so a lane that
+        fails at good fails at end too: its edge is fill, and end is tested
+        only on lanes that pass at good. Where ok holds at end that is the
+        edge; where it holds only at good it is the crossing between them.
+        lane(i, j) returns (side, dx, c, v, o, r, side2, dx2), the test as
         c + v u + leg(dx, u) + leg2(dx2, z) <= 0 in the leg duration
         u = r (z - o), each leg on side -1 or 1 (0: no leg); c and v are fresh
         arrays, used in place. Times u a one-leg test is a quadratic in u on
@@ -384,12 +400,15 @@ class Evaluator:
         crossing, and its stable root is clipped into the bracket. A two-leg
         test is convex in z, so Newton steps from end move toward the crossing
         from one side and stop where rounding stalls them. Doubling steps back
-        toward good then keep ok at the edge.
+        toward good then keep ok at the edge. Each test of a knot or a step
+        runs only on the lanes it can move: a knot on the lanes whose bracket
+        holds it, a step on the lanes that still fail.
         """
-        i, j = np.indices(good.shape, sparse=True)
-        at_end, at_good = ok(i, j, end), ok(i, j, good)
-        edge = np.where(at_end, end, np.where(at_good, good, fill))
-        ii, jj = np.nonzero(at_good & ~at_end)
+        edge = np.where(at_good, good, fill)
+        ii, jj = np.nonzero(at_good)
+        at_end = ok(ii, jj, end[ii, jj])
+        edge[ii[at_end], jj[at_end]] = end[ii[at_end], jj[at_end]]
+        ii, jj = ii[~at_end], jj[~at_end]
         if not len(ii):
             return edge
         zg, zb = good[ii, jj], end[ii, jj]  # ok holds at zg and fails at zb
@@ -402,10 +421,10 @@ class Evaluator:
                 m, (c1, c2), (sig, h0) = side == s, H._table[3:], H._at_zero
                 for kn in np.append(c1, H.dh0):  # leg slopes at its branch and piece ends
                     z = o + r * dx / kn
-                    at = m & (dx * kn > 0) & ((z - zg) * (zb - z) > 0)
-                    if at.any():
-                        hit = ok(ii, jj, np.where(at, z, zg))
-                        zg, zb = np.where(at & hit, z, zg), np.where(at & ~hit, z, zb)
+                    n = np.flatnonzero(m & (dx * kn > 0) & ((z - zg) * (zb - z) > 0))
+                    if n.size:
+                        hit = ok(ii[n], jj[n], z[n])
+                        zg[n[hit]], zb[n[~hit]] = z[n[hit]], z[n[~hit]]
                 m &= ~two  # the quadratic holds one leg
                 d, u = dx[m], (r * (0.5 * (zg + zb) - o))[m]  # the leg at mid-bracket
                 p = np.searchsorted(c1[1:], d / u, side="right")
@@ -436,11 +455,11 @@ class Evaluator:
                     z2 = np.where(moved, new, z2)
             z[two] = z2
         del side, dx, k0, k1, k2, o, q, roots, near  # fewer live arrays in the checks below
-        bad = ~ok(ii, jj, z)
-        while bad.any():
-            z = np.where(bad, np.clip(z + np.sign(zg - zb) * step, lo, hi), z)
-            step *= 2
-            bad &= ~ok(ii, jj, z)
+        n = np.flatnonzero(~ok(ii, jj, z))
+        while n.size:
+            z[n] = np.clip(z[n] + np.sign(zg[n] - zb[n]) * step[n], lo[n], hi[n])
+            step[n] *= 2
+            n = n[~ok(ii[n], jj[n], z[n])]
         edge[ii, jj] = z
         return edge
 

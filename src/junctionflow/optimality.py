@@ -14,7 +14,10 @@ selections. Past the left end of the last connected component of
 tightens to the sign trichotomy in A. check_optimality draws each
 selection once, as a trajectory field on the mesh, and _dwell_measures
 reads D at every sample time from it in one einsum over a node-by-sample
-mask.
+mask. The mask and the quadrature-error estimate are built only on the
+support sub-mesh of phi (functionals.support), where cost_report draws u:
+every other node adds an exact zero, and the einsum adds the same nonzero
+terms in the same order, so D is bitwise the full-mesh sum.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from ._util import sorted_unique
 from .controls import Control
-from .functionals import BoxWeight, CostSpec, quadrature
+from .functionals import BoxWeight, CostSpec, quadrature, support
 from .hj_junction import (
     LEAST_AT_ZERO,
     MOST_AT_ZERO,
@@ -87,13 +90,16 @@ class OptimalityAudit:
 def _dwell_measures(phi_vals, mesh: Mesh, tfield, s):
     """D(s) at every time in s: the quadrature of phi over the nodes past s
     whose selected path dwells at s. a and b are NaN on straight paths, so
-    the mask is False there."""
+    the mask is False there. The mask is built on the support of phi only;
+    on an empty support D is 0."""
     s = np.asarray(s, dtype=float)
+    rows, cols = sub = support(phi_vals)
+    on = np.ix_(rows, cols)
     # built in place, so at most one node-by-sample temporary lives beside it
-    mask = tfield["a"][..., None] <= s
-    mask &= s <= tfield["b"][..., None]
-    mask &= mesh.ts[:, None] > s
-    return quadrature(phi_vals, mesh, mask)
+    mask = tfield["a"][on][..., None] <= s
+    mask &= s <= tfield["b"][on][..., None]
+    mask &= mesh.ts[cols, None] > s
+    return quadrature(phi_vals, mesh, mask, sub)
 
 
 def default_s_samples(T: float, A: Control, n: int = 128):

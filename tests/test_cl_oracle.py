@@ -9,13 +9,22 @@ from junctionflow.cl_oracle import (
     DensityField,
     GermElement,
     cross_check,
-    godunov_flux,
     junction_flux,
     make_grid,
     solve_cl,
 )
+from junctionflow.flux_models import flux_branches
 
 from conftest import TAB, T_HORIZON, asym_case, random_control
+
+
+def godunov_flux(H, rho_l, rho_r):
+    """Exact Riemann flux for the concave f: min(f_plus(left), f_minus(right)),
+    one face at a time: the reference solve_cl's face march is pinned to."""
+    fpl, _ = flux_branches(H, rho_l)
+    _, fmr = flux_branches(H, rho_r)
+    out = np.minimum(fpl, fmr)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def centers(faces):

@@ -159,6 +159,23 @@ class TestRunOptions:
             assert "must be a finite number" in err
         assert "J(" not in out
 
+    @pytest.mark.parametrize("command", ["cost", "optimize", "audit", "reproduce-prop511"])
+    @pytest.mark.parametrize("entry", ["nx", "nt"])
+    def test_mesh_without_a_node_in_the_support_exits_2(self, tmp_path, capsys, command, entry):
+        """With 2 nodes on an axis, both on the box's edge, phi is 0 at every
+        node, so J would read 0 and the audit would pass on D = 0."""
+        base = {} if command == "reproduce-prop511" else dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH)
+        if command == "optimize":
+            base["optimizer"] = dict(method="bangbang", k_max=1, budget=60, horizon=6.0)
+        base = copy.deepcopy(base)
+        base.setdefault("mesh", {})[entry] = 2
+        path = write_config(tmp_path, base)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "config error: [mesh] has no node where the weight is nonzero" in err
+        assert "J(" not in out
+        assert not any((tmp_path / "o").iterdir())
+
     def test_crosscheck_cells_too_narrow_exit_2(self, tmp_path, capsys):
         cfg = dict(solve_config(), crosscheck=dict(xmin=-1e-300, xmax=1e-300, cells=2))
         path = write_config(tmp_path, cfg)

@@ -380,6 +380,27 @@ class TestTrajectoryField:
                     else:
                         assert np.isnan(tf["a"][i, j]) and np.isnan(tf["b"][i, j])
 
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(["symmetric", "asymq", "tabulated"]), datum=st.sampled_from(sorted(DATA)),
+           cells=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(case="symmetric", datum="convex-kinks", cells=1, seed=2)
+    def test_selection_of_a_node_does_not_depend_on_its_batch(self, case, datum, cells, seed):
+        """selection runs its edge stage only on the batch's dwelling nodes;
+        each node's outputs are bitwise those of the node selected alone."""
+        model = {"symmetric": canonical_case, "asymq": asym_case, "tabulated": tab_case}[case]()[0]
+        R = model.right.R
+        u0 = InitialData(*DATA[datum](R), capacities=(model.left.R, R))
+        rng = np.random.default_rng(seed)
+        ev = Evaluator(model, u0, random_control(rng, model.A0, cells=cells))
+        x = np.where(rng.random(16) < 0.15, 0.0, rng.uniform(-1.5, 1.5, 16))
+        t = rng.uniform(0.05, T_HORIZON, 16)
+        for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+            batch = ev.selection(x, t, sel)
+            for k in range(len(x)):
+                alone = ev.selection(x[k], t[k], sel)
+                for out, ref in zip(batch, alone):
+                    assert out[k : k + 1].tobytes() == ref.tobytes(), (sel, k)
+
     def test_sub_mesh_is_a_bitwise_slice(self, model, u0, functional_mesh):
         A = Control((0.0, 1.2, 2.0, 3.1, T_HORIZON), (-0.05, 0.0, -0.2, -0.1))
         ev = Evaluator(model, u0, A)
@@ -451,11 +472,13 @@ class TestExitCost:
             assert np.array_equal(ev._piece(tab, idx, z), two_sided_piece(ev, tab, idx, z))
 
 
-def bisected_edges(self, ok, good, end, fill, lane):
+def bisected_edges(self, ok, good, at_good, end, fill, lane):
     """The band edges as bisection found them: the good-side end of a bracket
-    halved until it is one ulp of its starting magnitude wide."""
+    halved until it is one ulp of its starting magnitude wide. It tests every
+    lane at both ends, and the at_good it is given must be ok at good."""
     i, j = np.indices(good.shape)
-    at_end, at_good = ok(i, j, end), ok(i, j, good)
+    at_end = ok(i, j, end)
+    assert np.array_equal(at_good, ok(i, j, good))
     edge = np.where(at_end, end, np.where(at_good, good, fill))
     inner = at_good & ~at_end
     ii, jj, g, bad = i[inner], j[inner], good[inner], end[inner]
@@ -468,17 +491,30 @@ def bisected_edges(self, ok, good, end, fill, lane):
     return edge
 
 
+def convex_kinks(case):
+    """The case's model with the 4-piece datum whose kinks are convex, where
+    fan paths, whose G + I is stationary inside a piece, enter the band."""
+    def make():
+        model = case()[0]
+        return model, InitialData(*DATA["convex-kinks"](model.right.R),
+                                  capacities=(model.left.R, model.right.R))
+    return make
+
+
 EDGE_CASES = {"symmetric": canonical_case, "asymq": asym_case, "tabulated": tab_case,
-              "tabulated-single-slope": single_slope_tab_case}
+              "tabulated-single-slope": single_slope_tab_case,
+              **{f"{name}-convex-kinks": convex_kinks(case) for name, case in
+                 (("symmetric", canonical_case), ("asymq", asym_case), ("tabulated", tab_case))}}
 
 
 class TestBandEdges:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(case=st.sampled_from(sorted(EDGE_CASES)), cells=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
     # selection prices the exit leg with arrays, this test with scalars: the two
     # must agree to the last bit, or b reads one ulp outside the band
     @example(case="tabulated-single-slope", cells=1, seed=4294967295)
+    @example(case="symmetric-convex-kinks", cells=1, seed=2)  # ten a-edges in a rounding-deep band
     def test_closed_form_edges(self, case, cells, seed):
         model, u0 = EDGE_CASES[case]()
         rng = np.random.default_rng(seed)
@@ -492,11 +528,13 @@ class TestBandEdges:
         S = ev._seg
         for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
             dwell, a, b, v = got[sel][:4]
+            a_ref, b_ref = old[sel][1:3]
             assert np.array_equal(dwell, old[sel][0]) and np.array_equal(v, old[sel][3])
-            for new, ref in ((a, old[sel][1]), (b, old[sel][2])):
-                assert np.all(np.abs(new - ref)[dwell] <= 1e-10 * (1.0 + np.abs(ref[dwell])))
+            assert np.all(np.abs(b - b_ref)[dwell] <= 1e-10 * (1.0 + np.abs(b_ref[dwell])))
+            a_off = np.abs(a - a_ref) > 1e-10 * (1.0 + np.abs(a_ref))
             for k in np.flatnonzero(dwell):
                 thresh = v[k] + TIE_SCALE * (1.0 + abs(v[k]))
+                rounding = 1e-14 * (1.0 + abs(v[k]))
                 exit_ = ev.exit_cost(x[k], t[k], b[k])
                 # b passes selection's own test: some trace segment is in the band there
                 trace = np.where(S["lo"] <= b[k], ev._piece(S, slice(None), b[k]), np.inf)
@@ -504,9 +542,17 @@ class TestBandEdges:
                 # the path through a and b, re-summed from its parts, is in the band up to
                 # the rounding of the sum (a also takes dwells snapped onto the junction,
                 # and the segment's own start where rounding leaves no a-edge)
-                g = 0.0 if a[k] == 0 else float(ev.approach_cost(a[k])[0])
-                cost = g + ev.A.cumulative(a[k]) - ev.A.cumulative(b[k]) + exit_
-                assert cost <= thresh + 1e-14 * (1.0 + abs(v[k]))
+                def slack(ak):
+                    g = 0.0 if ak == 0 else float(ev.approach_cost(ak)[0])
+                    return thresh - (g + ev.A.cumulative(ak) - ev.A.cumulative(b[k]) + exit_)
+                assert slack(a[k]) >= -rounding
+                # a leaves the bisected edge only where the band has no depth at b, so
+                # that both paths cost the threshold to rounding: the a-band is then a fan
+                # piece's minimizer widened by rounding, and its edge is fixed only to
+                # about the square root of the rounding
+                if a_off[k]:
+                    assert "convex-kinks" in case
+                    assert slack(a[k]) <= rounding and -rounding <= slack(a_ref[k]) <= rounding
 
 
 # ---- the kink-fan level ------------------------------------------------------------
@@ -578,11 +624,11 @@ class TestFanLevel:
         u0 = InitialData((-1.0, -0.3, 0.6), (-0.9, -0.5, -0.2, -0.6 * R), capacities=(1.0, R))
         two_legs, edges = [], Evaluator._edges
 
-        def counted(ev, ok, good, end, fill, lane):
-            at_good, at_end = (ok(*np.indices(good.shape, sparse=True), z) for z in (good, end))
+        def counted(ev, ok, good, at_good, end, fill, lane):
+            at_end = ok(*np.indices(good.shape, sparse=True), end)
             ii, jj = np.nonzero(at_good & ~at_end)
             two_legs.append(np.count_nonzero(np.broadcast_to(lane(ii, jj)[6] != 0, ii.shape)))
-            return edges(ev, ok, good, end, fill, lane)
+            return edges(ev, ok, good, at_good, end, fill, lane)
 
         for seed in range(10):
             rng = np.random.default_rng(seed)

@@ -47,6 +47,8 @@ class TestDwellMeasure:
         phi = spec.weight.phi_grid(functional_mesh)
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         assert optimality._dwell_measures(phi, functional_mesh, tf, [1.0]) == 0.0
+        ss = default_s_samples(T_HORIZON, switching, n=8)  # the empty support: zeros, no raise
+        assert optimality._dwell_measures(phi, functional_mesh, tf, ss).tolist() == [0.0] * 8
 
     def test_beyond_support_is_zero(self, model, u0, switching, box_spec, functional_mesh):
         phi = box_spec.weight.phi_grid(functional_mesh)
