@@ -200,16 +200,6 @@ class Hamiltonian:
         alpha, beta = self.level_line(h, branch)
         return np.sqrt(np.maximum(alpha + beta * h, 0.0))
 
-    def leg_level(self, dx, dt):
-        """Flux level H(p) of an affine leg of duration dt > 0, p = L'(dx/dt):
-        minus the rate of leg_cost in dt. On the middle branch's piece j it
-        is ((dx/dt)**2 - s_j**2) / (4 c2_j) + H_j(0); off it, 0."""
-        a = _as_float_array(dx) / dt
-        c1, c2 = self._table[3:]
-        s, h0 = self._at_zero
-        j = _find(c1[1:], a)
-        return np.where((a > self.dhr) & (a < self.dh0), (a * a - s[j] * s[j]) / (4.0 * c2[j]) + h0[j], 0.0)
-
     def flux(self, rho):
         return -self.value(-_as_float_array(rho))
 

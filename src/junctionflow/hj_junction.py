@@ -22,11 +22,10 @@ clipped to the segment; on a fan segment approach and exit share one flux
 level H(p), where both squared speeds are affine in H(p) on a piece pair and
 the stay end solves one monotone equation (JunctionModel.fan_duration). Every
 candidate is a true path cost and every minimization is exact, so the value
-is the infimum up to rounding. Tie selection reads its band edges from the
-same pieces: times the leg's duration the band test is a quadratic on each
-leg branch and piece, so each edge is a root in closed form; on fan
-segments, whose test holds two legs and is convex, Newton steps reach it
-from the failing end.
+is the infimum up to rounding. Tie selection reads the exact minimizer
+sets of the same pieces: a segment's stay end, which runs on to the
+segment's end only where exits at full speed cost a constant (an A = 0
+hold), and a piece's stationary point, clipped to the piece.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .flux_models import Hamiltonian, InitialData, JunctionModel, ModelError
 MOST_AT_ZERO = "MostAtZero"
 LEAST_AT_ZERO = "LeastAtZero"
 
-TIE_SCALE = 1e-8
+TIE_SCALE = 1e-14  # paths within TIE_SCALE (1 + |v|) of the value v tie: rounding only
 CONTROL_RANGE_TOL = 1e-9
 _BLOCK = 1 << 18  # node-by-segment elements per block of rows in dwell_batch
 _SELECT_BLOCK = 1 << 14  # node-by-piece elements per block of nodes in trajectory_field
@@ -321,18 +320,21 @@ class Evaluator:
     def selection(self, x, t, select: str):
         """The selected path into each node (x[i], t[i]) under the documented tie rule.
 
-        Among paths within the tie band the dwell end b is maximized first;
-        MostAtZero then minimizes the dwell start a and prefers dwelling over
-        a tied straight line, LeastAtZero maximizes a and prefers a tied
-        straight line. The b-edge is the furthest end of the band over the
-        trace segments, the a-edge the extreme end of {G + I <= budget} over
-        the pieces of G + I, each a root in closed form where the test holds
-        at most one leg (_edges). Only the nodes where the selector dwells
-        run the edges and the dwell start; the b-edge's band test at the stay
-        ends is the one _stay_ends has priced. A node's result does not
-        depend on the other nodes. Returns per-node arrays (is_dwell, a, b,
-        value), a and b NaN on straight paths, then the selected path's
-        first-leg start y and cost.
+        A path ties when it costs the value v within TIE_SCALE (1 + |v|),
+        which only absorbs rounding. Among tied paths the dwell end b is
+        maximized first; MostAtZero then minimizes the dwell start a and
+        prefers dwelling over a tied straight line, LeastAtZero maximizes a
+        and prefers a tied straight line. Each pick reads exact minimizer
+        sets: b is the latest stay end of the tied trace segments, the one
+        _stay_ends prices, or the segment's end where the stay-end cost is
+        flat; a is the earliest or latest minimizer of the tied pieces of
+        G + I below b, each piece's stationary point clipped into it. So the
+        dwell measures of the two selections are the one-sided derivatives
+        of the value in A (Danskin). Only the nodes where the selector
+        dwells pick a and b. A node's result does not depend on the other
+        nodes. Returns per-node arrays (is_dwell, a, b, value), a and b NaN
+        on straight paths, then the selected path's first-leg start y and
+        cost.
         """
         if select not in (MOST_AT_ZERO, LEAST_AT_ZERO):
             raise SolverError(f"unknown selector {select!r}")
@@ -349,119 +351,27 @@ class Evaluator:
         k = np.flatnonzero(use_dwell)  # straight nodes keep (nan, nan, y1, f1)
         if not k.size:
             return use_dwell, a_out, b_out, v, y1, f1
-        at_b = cost[k] <= thresh[k, None]
-        x, t, thresh, b = x[k], t[k], thresh[k], b[k]
-        del cost  # node-by-segment arrays of every node
-
         S, P = self._seg, self._phi
-        end = np.minimum(S["hi"], t[:, None]) + np.zeros_like(b)
-        end = np.where((x[:, None] != 0) & (end >= t[:, None]),  # exits take time
-                       np.nextafter(t, -np.inf)[:, None], end)
-        edges = self._edges(lambda i, j, z: (S["lo"][j] <= z)
-                            & (self._piece(S, j, z) + self.exit_cost(x[i], t[i], z) <= thresh[i]),
-                            b, at_b, end, -np.inf, lambda i, j: (  # the exit leg; fans add their approach
-                                np.sign(x[i]), x[i], S["c"][j] + S["v"][j] * t[i] - thresh[i],
-                                -S["v"][j], t[i], -1, S["side"][j], -S["e"][j]))
-        j, b_sel = np.argmax(edges, axis=1), np.max(edges, axis=1)
-        del b, at_b, end, edges  # node-by-segment arrays, not needed for the a-edge
-        b_sel = np.where(np.isfinite(b_sel), b_sel, t)  # no dwell path in the band
+        x, t, thresh = x[k], t[k], thresh[k]
+        # b: the latest stay end of the tied segments; on an affine segment of slope 0
+        # off the fans (an A = 0 hold) exits at full speed cost a constant, so its stay
+        # ends run on to the segment's end, before t where exits take time
+        end = np.minimum(S["hi"], np.where(x == 0, t, np.nextafter(t, -np.inf))[:, None])
+        flat = (S["v"] == 0) & (S["side"] == 0)
+        ends = np.where(cost[k] <= thresh[:, None], np.where(flat, end, b[k]), -np.inf)
+        del b, cost  # node-by-segment arrays of every node
+        j = np.argmax(ends, axis=1)
+        b_sel = ends[np.arange(len(k)), j]
+        # a: the extreme minimizer of the tied pieces of G + I on [lo, min(hi, b)]
         psi = self.exit_cost(x, t, b_sel) - self.A.cumulative(b_sel)
-        hi = np.minimum(P["hi"], b_sel[:, None])
-        good = np.clip(P["arg"], P["lo"], hi)
-
-        def ok(i, j, z):
-            return (P["lo"][j] <= z) & (z <= b_sel[i]) & (self._piece(P, j, z) <= thresh[i] - psi[i])
-
-        ends = self._edges(ok, good, ok(*np.indices(good.shape, sparse=True), good),
-                           P["lo"] + 0.0 * hi if most else hi,
-                           np.inf if most else -np.inf,  # a leg from a kink, or none
-                           lambda i, j: (P["side"][j], -P["e"][j], P["c"][j] - (thresh - psi)[i],
-                                         P["v"][j], 0, 1, 0, 0))
-        a_sel = ends.min(axis=1) if most else ends.max(axis=1)
+        good = np.clip(P["arg"], P["lo"], np.minimum(P["hi"], b_sel[:, None]))
+        tied = (P["lo"] <= b_sel[:, None]) & (self._piece(P, slice(None), good) <= (thresh - psi)[:, None])
+        a_sel = (np.where(tied, good, np.inf).min(axis=1) if most
+                 else np.where(tied, good, -np.inf).max(axis=1))
         a_fb = np.fmin(S["a"][j], b_sel)  # the start of the segment's own path
         a_sel, y, g = self._dwell_start(np.where(np.isfinite(a_sel), a_sel, a_fb))
         a_out[k], b_out[k], y1[k], f1[k] = a_sel, b_sel, y, g + self.A.cumulative(a_sel) + psi
         return use_dwell, a_out, b_out, v, y1, f1
-
-    def _edges(self, ok, good, at_good, end, fill, lane):
-        """Per (node, piece): the end of {ok} reaching toward end on a convex piece.
-
-        ok(i, j, z) tests point z of piece j for node i, lane by lane for
-        index arrays i and j; at_good is ok at good, the piece minimizer.
-        On a convex piece {ok} is an interval around good, so a lane that
-        fails at good fails at end too: its edge is fill, and end is tested
-        only on lanes that pass at good. Where ok holds at end that is the
-        edge; where it holds only at good it is the crossing between them.
-        lane(i, j) returns (side, dx, c, v, o, r, side2, dx2), the test as
-        c + v u + leg(dx, u) + leg2(dx2, z) <= 0 in the leg duration
-        u = r (z - o), each leg on side -1 or 1 (0: no leg); c and v are fresh
-        arrays, used in place. Times u a one-leg test is a quadratic in u on
-        each branch and piece of the leg: the leg's knots bracket the
-        crossing, and its stable root is clipped into the bracket. A two-leg
-        test is convex in z, so Newton steps from end move toward the crossing
-        from one side and stop where rounding stalls them. Doubling steps back
-        toward good then keep ok at the edge. Each test of a knot or a step
-        runs only on the lanes it can move: a knot on the lanes whose bracket
-        holds it, a step on the lanes that still fail.
-        """
-        edge = np.where(at_good, good, fill)
-        ii, jj = np.nonzero(at_good)
-        at_end = ok(ii, jj, end[ii, jj])
-        edge[ii[at_end], jj[at_end]] = end[ii[at_end], jj[at_end]]
-        ii, jj = ii[~at_end], jj[~at_end]
-        if not len(ii):
-            return edge
-        zg, zb = good[ii, jj], end[ii, jj]  # ok holds at zg and fails at zb
-        step = np.spacing(np.maximum(np.abs(zg), np.abs(zb)))
-        side, dx, k1, k2, o, r, side2, dx2 = lane(ii, jj)  # u times the test is k2 u^2 + k1 u + k0
-        two = np.broadcast_to(side2 != 0, ii.shape)
-        k0 = np.zeros(len(ii))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for s, H in ((-1, self.model.left), (1, self.model.right)):
-                m, (c1, c2), (sig, h0) = side == s, H._table[3:], H._at_zero
-                for kn in np.append(c1, H.dh0):  # leg slopes at its branch and piece ends
-                    z = o + r * dx / kn
-                    n = np.flatnonzero(m & (dx * kn > 0) & ((z - zg) * (zb - z) > 0))
-                    if n.size:
-                        hit = ok(ii[n], jj[n], z[n])
-                        zg[n[hit]], zb[n[~hit]] = z[n[hit]], z[n[~hit]]
-                m &= ~two  # the quadratic holds one leg
-                d, u = dx[m], (r * (0.5 * (zg + zb) - o))[m]  # the leg at mid-bracket
-                p = np.searchsorted(c1[1:], d / u, side="right")
-                mid = (d > H.dhr * u) & (d < H.dh0 * u)  # else W = 0 or -R dx
-                k2[m] += np.where(mid, sig[p] ** 2 / (4 * c2[p]) - h0[p], 0)
-                k1[m] += np.where(mid, -d * sig[p] / (2 * c2[p]), -H.R * np.minimum(d, 0))
-                k0[m] = np.where(mid, d * d / (4 * c2[p]), 0)
-            q = -0.5 * (k1 + np.copysign(np.sqrt(np.maximum(k1 * k1 - 4 * k2 * k0, 0)), k1))
-            roots = o + r * np.array([q / k2, k0 / q])  # each root in its stable form
-        lo, hi = np.minimum(zg, zb), np.maximum(zg, zb)
-        near = np.nan_to_num(np.abs(roots - 0.5 * (lo + hi)), nan=np.inf)
-        z = roots[np.argmin(near, axis=0), np.arange(len(ii))]
-        z = np.where(np.isfinite(z), np.clip(z, lo, hi), zg)
-        if two.any():  # f(z) and its slope, with -leg_level the rate of a leg's cost
-            c, v, s1, d1, o1, r1, s2, d2 = (np.broadcast_to(a, ii.shape)[two]
-                                            for a in (k1, k2, side, dx, o, r, side2, dx2))
-            z2, toward, cost, level = zb[two], zg[two], Hamiltonian.leg_cost, Hamiltonian.leg_level
-            own = self.model.own_side
-            with np.errstate(divide="ignore", invalid="ignore"):
-                while True:
-                    u = r1 * (z2 - o1)
-                    f = c + v * u + own(cost, s1, d1, u) + own(cost, s2, d2, z2)
-                    df = r1 * (v - own(level, s1, d1, u)) - own(level, s2, d2, z2)
-                    new = np.clip(z2 - f / df, lo[two], hi[two])
-                    moved = (new - z2) * (toward - z2) > 0
-                    if not moved.any():
-                        break
-                    z2 = np.where(moved, new, z2)
-            z[two] = z2
-        del side, dx, k0, k1, k2, o, q, roots, near  # fewer live arrays in the checks below
-        n = np.flatnonzero(~ok(ii, jj, z))
-        while n.size:
-            z[n] = np.clip(z[n] + np.sign(zg[n] - zb[n]) * step[n], lo[n], hi[n])
-            step[n] *= 2
-            n = n[~ok(ii[n], jj[n], z[n])]
-        edge[ii, jj] = z
-        return edge
 
 
 # ---- module-level operations -------------------------------------------------

@@ -230,3 +230,12 @@ def test_criterion_12_determinism(repro_runs):
     b1 = (outs[0] / "report.json").read_bytes()
     b2 = (outs[1] / "report.json").read_bytes()
     report(12, b1 == b2, f"report.json byte-identical across worker counts: {b1 == b2}")
+
+
+def test_reported_tau_is_the_switch(repro_runs):
+    """The dwelling paths exit at the switch exactly, so the component's tau
+    is its tau_hat and the optimizer's switch time to the bit."""
+    outs, _ = repro_runs
+    rep = json.loads((outs[0] / "report.json").read_text())
+    comp = rep["components"]
+    assert comp["tau"] == comp["tau_hat"][-1] == rep["optimizer"]["switch_times"][0]

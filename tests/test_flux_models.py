@@ -191,7 +191,7 @@ class TestLegCost:
                              ids=["quadratic", "asymq-right", "tabulated"])
     def test_scalar_and_array_legs_agree_bitwise(self, H):
         # callers price one leg as scalars and many as arrays; both forms must
-        # give the same bits, or a band edge priced one way fails the other's test
+        # give the same bits, or a path priced one way fails the other's tie test
         rng = np.random.default_rng(11)
         dt = np.concatenate([rng.uniform(0.0, 5.0, 6000), np.zeros(10)])
         dx = rng.uniform(1.2 * H.dhr, 1.2 * H.dh0, len(dt)) * np.where(dt > 0, dt, 1.0)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from junctionflow import (Control, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh, junction_values, optimality,
-                          trajectory_field)
-from junctionflow.functionals import CostSpec, SampledWeight
+from junctionflow import (Control, InitialData, JunctionModel, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh,
+                          junction_values, optimality, trajectory_field)
+from junctionflow.functionals import CostSpec, SampledWeight, cost, quadrature
 from junctionflow.optimality import check_optimality, component_report, default_s_samples
 
-from conftest import T_HORIZON, asym_case, random_control, trapezoid
+from conftest import TAB, T_HORIZON, asym_case, random_control, trapezoid
 
 
 def clipped_spec(box, mesh, sign):
@@ -75,6 +75,49 @@ class TestDwellMeasure:
         hp = optimality._dwell_measures(phi, functional_mesh, tfp, ss)
         hm = optimality._dwell_measures(phi, functional_mesh, tfm, ss)
         assert np.all(hp >= hm - 1e-12)
+
+
+def danskin_case(case, model, u0):
+    """(model, datum, control): the canonical model under 12 equal cells, or a
+    seeded 6-cell control on another model or datum."""
+    if case == "canonical":
+        rng = np.random.default_rng(5)
+        rng.uniform(model.A0, 0.0, 12)  # the cell values are the second draw
+        return model, u0, Control(tuple(np.linspace(0.0, T_HORIZON, 13)),
+                                  tuple(rng.uniform(model.A0, 0.0, 12)))
+    tab = JunctionModel(TAB, TAB, equal_minima=True)
+    four = InitialData((-1.0, -0.3, 0.6), (-0.3, -0.7, -0.8, -0.9), capacities=(1.0, 1.0))
+    convex = InitialData((-1.0, -0.3, 0.6), (-0.9, -0.5, -0.2, -0.6), capacities=(1.0, 1.0))
+    m, d = {"asymq": asym_case(), "tabulated": (tab, four), "canonical-convex-kinks": (model, convex),
+            "tabulated-convex-kinks": (tab, convex)}[case]
+    return m, d, random_control(np.random.default_rng(7), m.A0, cells=6)
+
+
+class TestCellDerivatives:
+    @pytest.mark.parametrize("case", ["canonical", "asymq", "tabulated", "canonical-convex-kinks",
+                                      "tabulated-convex-kinks"])
+    def test_dwell_overlaps_give_the_one_sided_derivatives_of_J(self, model, u0, box_spec,
+                                                                 functional_mesh, case):
+        """u is a minimum over paths of costs affine in A, parking paying -integral(A).
+        By Danskin's theorem raising A on cell c moves J at f'|c| minus the phi-sum
+        of the MostAtZero paths' overlaps |[a, b] & c|, and lowering it at the same
+        with the LeastAtZero paths. Both equal one-sided difference quotients of J."""
+        model, u0, A = danskin_case(case, model, u0)
+        mesh, h = functional_mesh, 1e-7
+        phi = box_spec.weight.phi_grid(mesh)
+        c0, c1 = np.asarray(A.times[:-1]), np.asarray(A.times[1:])
+        J = cost(model, u0, box_spec, A, mesh)
+        for select, sign in ((MOST_AT_ZERO, 1.0), (LEAST_AT_ZERO, -1.0)):
+            tf = trajectory_field(model, u0, A, mesh, select)
+            a, b = (np.where(tf["is_dwell"], tf[k], 0.0)[..., None] for k in ("a", "b"))
+            overlap = np.maximum(np.minimum(b, c1) - np.maximum(a, c0), 0.0)  # a trailing cell axis
+            d = box_spec.linear_coeff * (c1 - c0) - quadrature(phi, mesh, overlap)
+            q = np.array([(cost(model, u0, box_spec, Control(A.times, tuple(A.values + e)), mesh) - J)
+                          / (sign * h) for e in sign * h * np.eye(len(c0))])
+            if sign > 0:
+                scale = np.abs(q).max()
+                assert scale > 0.01
+            assert np.all(np.abs(d - q) <= 1e-6 * scale), (select, d, q)
 
 
 def verdicts_reference(audit, model, spec):
