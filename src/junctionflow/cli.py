@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import tomllib
@@ -34,7 +35,7 @@ from ._util import write_csv
 from .cl_oracle import DensityField, cross_check, density_from_value_field, make_grid
 from .controls import Control
 from .flux_models import Hamiltonian, InitialData, JunctionModel
-from .functionals import BoxWeight, CostSpec, cost_report, make_box_weight
+from .functionals import BoxWeight, CostSpec, Problem, cost_report, make_box_weight
 from .hj_junction import Mesh, SolverError, gradient_audit, junction_values, value_grid
 from .optimality import check_optimality
 from .optimizer import MIN_BUDGET, optimize_bangbang, optimize_relaxed, pattern_extract
@@ -388,25 +389,21 @@ def canonical_config() -> dict:
     return json.loads(json.dumps(CANONICAL))  # deep copy
 
 
+_OPS = {"<=": operator.le, "<": operator.lt, ">": operator.gt}
+
+
 def verify_box_conditions(model, p: float, box: BoxWeight):
-    """The three closed-form conditions plus the crossing-geometry inequality."""
-    H = model.left
-    hp = float(H.value(p))
-    dh0 = H.dh0
-    a0 = model.A0
+    """The three closed-form conditions plus the crossing-geometry
+    inequality, as (name, lhs, rhs, op, ok) with ok = lhs op rhs."""
+    H, a0 = model.left, model.A0
+    hp, dh0 = float(H.value(p)), H.dh0
     conds = [
-        ("x2 <= H(p) t1 / p", box.x2, hp * box.t1 / p, box.x2 <= hp * box.t1 / p),
-        (
-            "t2 H'(0) / (H'(0) - H(p)/p) < t3",
-            box.t2 * dh0 / (dh0 - hp / p),
-            box.t3,
-            box.t2 * dh0 / (dh0 - hp / p) < box.t3,
-        ),
-        ("-t2 A0 / (H(p) - A0) < t3", -box.t2 * a0 / (hp - a0), box.t3,
-         -box.t2 * a0 / (hp - a0) < box.t3),
-        ("x1/t2 > x2/t3", box.x1 / box.t2, box.x2 / box.t3, box.geometry_ok),
+        ("x2 <= H(p) t1 / p", box.x2, hp * box.t1 / p, "<="),
+        ("t2 H'(0) / (H'(0) - H(p)/p) < t3", box.t2 * dh0 / (dh0 - hp / p), box.t3, "<"),
+        ("-t2 A0 / (H(p) - A0) < t3", -box.t2 * a0 / (hp - a0), box.t3, "<"),
+        ("x1/t2 > x2/t3", box.x1 / box.t2, box.x2 / box.t3, ">"),
     ]
-    return [dict(name=n, lhs=float(l), rhs=float(r), ok=bool(ok)) for n, l, r, ok in conds]
+    return [(n, float(l), float(r), op, bool(_OPS[op](l, r))) for n, l, r, op in conds]
 
 
 def _merge(base: dict, over: dict):
@@ -431,12 +428,10 @@ def cmd_reproduce_prop511(cfg, out_dir):
     p = u0.slopes[0]
     box = spec.weight
     conds = verify_box_conditions(model, p, box)
-    for c in conds:
-        side = "<=" if "<=" in c["name"] else ("<" if "<" in c["name"] else ">")
-        print(f"condition {c['name']}: {c['lhs']:.6g} {side} {c['rhs']:.6g} -> "
-              f"{'ok' if c['ok'] else 'VIOLATED'}")
-    if not all(c["ok"] for c in conds):
-        bad = [c["name"] for c in conds if not c["ok"]]
+    for name, lhs, rhs, op, ok in conds:
+        print(f"condition {name}: {lhs:.6g} {op} {rhs:.6g} -> {'ok' if ok else 'VIOLATED'}")
+    bad = [name for name, *_, ok in conds if not ok]
+    if bad:
         raise ConfigError([f"box condition violated: {n}" for n in bad])
 
     T = opt.horizon
@@ -446,9 +441,10 @@ def cmd_reproduce_prop511(cfg, out_dir):
         "blocked": Control((0.0, T), (0.0,)),
         "switch_at_t2": Control((0.0, t2, T), (0.0, model.A0)),
     }
+    problem = Problem(model, u0, spec, mesh)
     costs = {}
     for name, ctrl in controls.items():
-        costs[name] = cost_report(model, u0, spec, ctrl, mesh)["J"]
+        costs[name] = problem.cost(ctrl)
         print(f"J({name}) = {costs[name]:.12g}")
 
     res = optimize_bangbang(model, u0, spec, T, opt.k_max, opt.budget, mesh)
@@ -468,7 +464,7 @@ def cmd_reproduce_prop511(cfg, out_dir):
         audit_violations=audit.violations,
     )
     out = dict(
-        conditions=conds,
+        conditions=[dict(name=n, lhs=l, rhs=r, ok=ok) for n, l, r, _, ok in conds],
         costs=costs,
         optimizer=res.as_dict(),
         pattern=pat.as_dict(),

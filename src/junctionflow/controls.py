@@ -69,10 +69,6 @@ class Control:
         out = np.interp(t, self.times, self._cum)
         return float(out) if out.ndim == 0 else out
 
-    def is_bangbang(self, A0: float, tol: float = 1e-12) -> bool:
-        v = np.asarray(self.values)
-        return bool(np.all((np.abs(v) <= tol) | (np.abs(v - A0) <= tol)))
-
     def restricted_values_ok(self, A0: float, tol: float = RANGE_TOL) -> bool:
         v = np.asarray(self.values)
         return bool(np.all(v >= A0 - tol) and np.all(v <= tol))

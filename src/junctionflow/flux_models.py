@@ -147,10 +147,6 @@ class Hamiltonian:
         j = _find(lo[1:], p)
         return c1[j] + 2.0 * c2[j] * (p - lo[j])
 
-    def lagrangian(self, alpha):
-        """Constrained conjugate sup_{p in [-R,0]} (alpha*p - H(p))."""
-        return self.leg_cost(alpha, 1.0)
-
     def leg_cost(self, dx, dt):
         """Cost dt*L(dx/dt) of an affine leg, safe at dt = 0.
 

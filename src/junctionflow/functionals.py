@@ -7,13 +7,15 @@ psi1(x) * psi2'(t): psi1 is a C^1 plateau bump supported exactly on
 (x1, x2) x (t3, t4). The linear control term f(A) = c * A is integrated
 exactly against the piecewise-constant control.
 
-J never reads u where phi vanishes, so cost_report evaluates phi on the
-mesh once, checks once that it vanishes on the mesh edge, and draws u^A
-only on the tensor sub-mesh of the rows and columns where phi is nonzero,
-with 0 at every other node. phi u is formed before the trapezoid weights
-multiply in, in the one sum field_term also uses, so J is bitwise the sum
-over the full-mesh field. SampledWeight serves as a test weight; no
-command builds one.
+Rule is the one quadrature of phi on a mesh: the mesh's trapezoid weights
+on the tensor sub-mesh of the rows and columns where phi is nonzero, the
+only nodes where a sum of phi reads its integrand. J sums phi u^A with it
+and the audit's dwell measures D(s) sum phi times the dwell indicator with
+it (optimality). Problem builds the rule once for (model, datum, weight,
+mesh) and draws u^A per control on the sub-mesh only; cost and cost_report
+are one Problem each. field_term is the full-mesh sum the rule reproduces
+bitwise on meshes of up to 8,192 nodes. SampledWeight serves as a test
+weight; no command builds one.
 """
 
 from __future__ import annotations
@@ -155,84 +157,97 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_support(phi_vals: np.ndarray, where: str):
-    edge = max(
-        np.abs(phi_vals[0, :]).max(),
-        np.abs(phi_vals[-1, :]).max(),
-        np.abs(phi_vals[:, 0]).max(),
-        np.abs(phi_vals[:, -1]).max(),
-    )
-    if edge > 0.0:
-        raise FunctionalError(f"weight support leaks through the {where} boundary")
+def _check_support(phi_vals: np.ndarray):
+    if np.abs(phi_vals[[0, -1], :]).max() > 0.0 or np.abs(phi_vals[:, [0, -1]]).max() > 0.0:
+        raise FunctionalError("weight support leaks through the mesh boundary")
 
 
-def support(phi_vals: np.ndarray):
-    """The mesh rows and columns where phi is nonzero.
+class Rule:
+    """The mesh's trapezoid rule for sums of phi, on phi's support only.
 
-    Every node outside their tensor sub-mesh adds an exact zero to a
-    trapezoid sum of phi, so J and the dwell measures read u^A and the
-    dwell indicator only on that sub-mesh.
+    rows and cols are the mesh rows and columns where phi is nonzero, `mesh`
+    their tensor sub-mesh (None when phi is 0 everywhere), and phi, wx and wt
+    phi and the full mesh's weights there. Every other node adds an exact
+    zero, and the one sum adds the terms one after another in mesh order, as
+    the full-mesh sum does on up to 8,192 nodes (numpy's buffer size), so
+    there it is bitwise that sum. Rule(phi_vals, mesh) skips the edge check of
+    Rule.of: the audit's every-other-node mesh can end on a row where phi lives.
     """
-    return np.flatnonzero(phi_vals.any(axis=1)), np.flatnonzero(phi_vals.any(axis=0))
 
+    def __init__(self, phi_vals: np.ndarray, mesh: Mesh):
+        self.rows, self.cols = np.flatnonzero(phi_vals.any(axis=1)), np.flatnonzero(phi_vals.any(axis=0))
+        self.mesh = Mesh(mesh.xs[self.rows], mesh.ts[self.cols]) if self.rows.size else None
+        self.phi = phi_vals[np.ix_(self.rows, self.cols)]
+        self.wx, self.wt = _trapezoid_weights(mesh.xs)[self.rows], _trapezoid_weights(mesh.ts)[self.cols]
 
-def quadrature(phi_vals: np.ndarray, mesh: Mesh, values: np.ndarray, sub=None):
-    """Tensor-product trapezoid sum of phi * values over the mesh.
+    @classmethod
+    def of(cls, phi_vals: np.ndarray, mesh: Mesh) -> "Rule":
+        """The rule of phi on mesh, after checking that phi vanishes on the mesh edge."""
+        _check_support(phi_vals)
+        return cls(phi_vals, mesh)
 
-    values shaped (nx, nt) give one sum; (nx, nt, n) give one sum per
-    trailing index. Boolean values go in as they are, with no float copy.
-    With sub = support(phi_vals), values hold only the nodes of that
-    sub-mesh; the sum adds the same nonzero terms in the same order, one
-    after another, so it is bitwise the full-mesh sum.
-    """
-    wx = _trapezoid_weights(mesh.xs)
-    wt = _trapezoid_weights(mesh.ts)
-    if sub is not None:
-        rows, cols = sub
-        wx, wt, phi_vals = wx[rows], wt[cols], phi_vals[np.ix_(rows, cols)]
-    return np.einsum("i,j,ij,ij...->...", wx, wt, phi_vals, values)
+    def _sum(self, phi, values):
+        return np.einsum("i,j,ij,ij...->...", self.wx, self.wt, phi, values)
 
+    def sum(self, values: np.ndarray):
+        """The sum of phi * values on the sub-mesh: one sum, or with a trailing
+        axis one per trailing index. Boolean values go in with no float copy."""
+        return self._sum(self.phi, values)
 
-def _phi_u_term(phi_vals: np.ndarray, mesh: Mesh, u: np.ndarray) -> float:
-    """The trapezoid sum of phi u, after checking that phi vanishes on the mesh edge."""
-    _check_support(phi_vals, "mesh")
-    # phi u is formed before the weights multiply in, as J has always been
-    # summed: J is flat to the last bit on the optimal plateau, so a change
-    # of product order could move the reported switch
-    return float(quadrature(phi_vals * u, mesh, np.ones((1, 1))))
+    def field(self, u: np.ndarray) -> float:
+        """The sum of phi u, u drawn on the sub-mesh."""
+        # phi u is formed before the weights multiply in, as J has always been
+        # summed: J is flat to the last bit on the optimal plateau, so a change
+        # of product order could move the reported switch. A trailing unit axis
+        # keeps the terms in order, as in D; a scalar einsum groups them by row
+        # on two-row sub-meshes
+        return float(self._sum(self.phi * u, np.ones(u.shape + (1,), dtype=bool))[0])
 
 
 def field_term(spec: CostSpec, field: ValueField) -> float:
-    """Tensor-product trapezoidal quadrature of phi * u over the field mesh."""
-    mesh = Mesh(field.xs, field.ts)
-    return _phi_u_term(spec.weight.phi_grid(mesh), mesh, field.u)
+    """Tensor-product trapezoidal quadrature of phi * u over the whole field
+    mesh, after checking that phi vanishes on the mesh edge."""
+    phi = spec.weight.phi_grid(Mesh(field.xs, field.ts))
+    _check_support(phi)
+    wx, wt = _trapezoid_weights(field.xs), _trapezoid_weights(field.ts)
+    return float(np.einsum("i,j,ij,ij...->...", wx, wt, phi * field.u, np.ones((1, 1))))
+
+
+class Problem:
+    """J on one (model, datum, weight, mesh) with the weight's rule built once. Each control
+    and the full mesh are checked as value_grid checks them, also on an empty support."""
+
+    def __init__(self, model, u0, spec: CostSpec, mesh: Mesh):
+        self.model, self.u0, self.spec, self.mesh = model, u0, spec, mesh
+        self.rule = Rule.of(spec.weight.phi_grid(mesh), mesh)
+
+    def _terms(self, A: Control):
+        if self.rule.mesh is None:
+            hj_junction.Evaluator(self.model, self.u0, A)  # checks the model and the control
+            jf = 0.0
+        else:
+            jf = self.rule.field(hj_junction.value_grid(self.model, self.u0, A, self.rule.mesh).u)
+        hj_junction.check_mesh(self.mesh, A)
+        c = self.spec.linear_coeff
+        return jf, c * integrate(A, 0.0, A.horizon) if c else 0.0
+
+    def cost(self, A: Control) -> float:
+        jf, jl = self._terms(A)
+        return jf + jl
+
+    def report(self, A: Control) -> dict:
+        jf, jl = self._terms(A)
+        m = self.mesh
+        return dict(J=jf + jl, J_field_term=jf, J_linear_term=jl,
+                    mesh=dict(nx=len(m.xs), nt=len(m.ts), xmin=float(m.xs[0]), xmax=float(m.xs[-1]),
+                              tmin=float(m.ts[0]), tmax=float(m.ts[-1])))
 
 
 def cost(model, u0, spec: CostSpec, A: Control, mesh: Mesh) -> float:
     """J(A): quadrature of phi u^A over the mesh plus the exact linear term."""
-    return cost_report(model, u0, spec, A, mesh)["J"]
+    return Problem(model, u0, spec, mesh).cost(A)
 
 
 def cost_report(model, u0, spec: CostSpec, A: Control, mesh: Mesh):
-    """J(A) with its field and linear terms and the quadrature mesh.
-
-    u^A is drawn on the rows and columns of the mesh where phi is nonzero
-    and is 0 elsewhere. The model, the control and the full mesh are
-    checked as value_grid checks them, also when the support is empty.
-    """
-    phi = spec.weight.phi_grid(mesh)
-    rows, cols = support(phi)
-    u = np.zeros(phi.shape)
-    if rows.size:
-        sub = Mesh(mesh.xs[rows], mesh.ts[cols])
-        u[np.ix_(rows, cols)] = hj_junction.value_grid(model, u0, A, sub).u
-    else:
-        hj_junction.Evaluator(model, u0, A)  # checks the model and the control
-    hj_junction.check_mesh(mesh, A)
-    jf = _phi_u_term(phi, mesh, u)
-    jl = spec.linear_coeff * integrate(A, 0.0, A.horizon) if spec.linear_coeff else 0.0
-    return dict(J=jf + jl, J_field_term=jf, J_linear_term=jl,
-                mesh=dict(nx=len(mesh.xs), nt=len(mesh.ts),
-                          xmin=float(mesh.xs[0]), xmax=float(mesh.xs[-1]),
-                          tmin=float(mesh.ts[0]), tmax=float(mesh.ts[-1])))
-
+    """J(A) with its field and linear terms and the quadrature mesh."""
+    return Problem(model, u0, spec, mesh).report(A)

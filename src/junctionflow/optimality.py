@@ -5,19 +5,17 @@ indicator of selected optimal trajectories: with
 
   D(s) = integral over {t > s} of phi(x, t) 1{selected path dwells at s}
 
-summed by the same trapezoid quadrature as the field term of J, a
-minimizer must satisfy D_plus(s) <= f'(A(s)) wherever the limiter can be
+a minimizer must satisfy D_plus(s) <= f'(A(s)) wherever the limiter can be
 raised (A < 0) and D_minus(s) >= f'(A(s)) wherever it can be lowered
 (A > A0), with D_plus / D_minus computed from the most- / least-at-zero
 selections. Past the left end of the last connected component of
 {u^A(0,.) < u^free(0,.)} the two selections coincide and the inequality
 tightens to the sign trichotomy in A. check_optimality draws each
-selection once, as a trajectory field on the mesh, and _dwell_measures
-reads D at every sample time from it in one einsum over a node-by-sample
-mask. The mask and the quadrature-error estimate are built only on the
-support sub-mesh of phi (functionals.support), where cost_report draws u:
-every other node adds an exact zero, and the einsum adds the same nonzero
-terms in the same order, so D is bitwise the full-mesh sum.
+selection once, as a trajectory field on the mesh, and builds the
+weight's rule (functionals.Rule, the quadrature of J) once; _dwell_measures
+reads D at every sample time in the rule's one sum over a node-by-sample
+mask of the fields' support nodes. The quadrature-error estimate is the
+difference to the same sum on every other node of the mesh.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 
 from ._util import sorted_unique
 from .controls import Control
-from .functionals import BoxWeight, CostSpec, quadrature, support
+from .functionals import BoxWeight, CostSpec, Rule
 from .hj_junction import (
     LEAST_AT_ZERO,
     MOST_AT_ZERO,
@@ -87,19 +85,19 @@ class OptimalityAudit:
         )
 
 
-def _dwell_measures(phi_vals, mesh: Mesh, tfield, s):
-    """D(s) at every time in s: the quadrature of phi over the nodes past s
-    whose selected path dwells at s. a and b are NaN on straight paths, so
-    the mask is False there. The mask is built on the support of phi only;
-    on an empty support D is 0."""
+def _dwell_measures(rule: Rule, tfield, s):
+    """D(s) at every time in s: the rule's sum of phi over the nodes past s
+    whose selected path dwells at s, read from the full-mesh trajectory
+    field. a and b are NaN on straight paths, so the mask is False there.
+    On an empty support D is 0."""
     s = np.asarray(s, dtype=float)
-    rows, cols = sub = support(phi_vals)
-    on = np.ix_(rows, cols)
+    on = np.ix_(rule.rows, rule.cols)
     # built in place, so at most one node-by-sample temporary lives beside it
     mask = tfield["a"][on][..., None] <= s
     mask &= s <= tfield["b"][on][..., None]
-    mask &= mesh.ts[cols, None] > s
-    return quadrature(phi_vals, mesh, mask, sub)
+    if rule.mesh is not None:
+        mask &= rule.mesh.ts[:, None] > s
+    return rule.sum(mask)
 
 
 def default_s_samples(T: float, A: Control, n: int = 128):
@@ -134,7 +132,8 @@ def component_report(model, u0, A, mesh: Mesh, spec: Optional[CostSpec] = None,
     tau_hat = []
     for (a, b) in components:
         # downward switches of the control inside the component
-        hit = [s for s in A.times[1:-1] if a < s < b and A(s + 1e-12) < A(s - 1e-12)]
+        hit = [s for s, before, after in zip(A.times[1:-1], A.values, A.values[1:])
+               if a < s < b and after < before]
         tau_hat.append(hit[-1] if hit else None)
 
     tau = None
@@ -199,11 +198,12 @@ def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None) -
         s_samples = default_s_samples(A.horizon, A)
     s_samples = np.asarray(s_samples, dtype=float)
     phi_vals = spec.weight.phi_grid(mesh)
+    rule = Rule.of(phi_vals, mesh)
     tf_plus = trajectory_field(model, u0, A, mesh, MOST_AT_ZERO)
     tf_minus = trajectory_field(model, u0, A, mesh, LEAST_AT_ZERO)
-    h_plus = _dwell_measures(phi_vals, mesh, tf_plus, s_samples)
-    h_minus = _dwell_measures(phi_vals, mesh, tf_minus, s_samples)
-    tol_opt = 5.0 * max(_quadrature_error_estimate(phi_vals, mesh, tf_plus, s_samples), 1e-12)
+    h_plus = _dwell_measures(rule, tf_plus, s_samples)
+    h_minus = _dwell_measures(rule, tf_minus, s_samples)
+    tol_opt = 5.0 * max(_quadrature_error_estimate(phi_vals, mesh, rule, tf_plus, s_samples), 1e-12)
 
     report = component_report(model, u0, A, mesh, spec=spec, _tfield_minus=tf_minus)
     a_bar = report.last_component[0] if report.last_component else None
@@ -231,12 +231,12 @@ def check_optimality(model, u0, A, spec: CostSpec, mesh: Mesh, s_samples=None) -
     return OptimalityAudit(samples, int(bad.any(axis=1).sum()), tolerances, report)
 
 
-def _quadrature_error_estimate(phi_vals, mesh: Mesh, tfield, s_samples):
+def _quadrature_error_estimate(phi_vals, mesh: Mesh, rule: Rule, tfield, s_samples):
     """Mesh-coarsening difference of the dwell measures, maxed over s."""
     if len(mesh.xs) < 5 or len(mesh.ts) < 5:
         return 0.0
     s = s_samples[:: max(1, len(s_samples) // 16)]
-    coarse = Mesh(mesh.xs[::2], mesh.ts[::2])
+    coarse = Rule(phi_vals[::2, ::2], Mesh(mesh.xs[::2], mesh.ts[::2]))
     half = {k: v[::2, ::2] for k, v in tfield.items()}
-    diff = _dwell_measures(phi_vals, mesh, tfield, s) - _dwell_measures(phi_vals[::2, ::2], coarse, half, s)
+    diff = _dwell_measures(rule, tfield, s) - _dwell_measures(coarse, half, s)
     return float(np.abs(diff).max(initial=0.0))

@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .controls import Control, clamp_project
-from .functionals import CostSpec, cost
+from .functionals import CostSpec, Problem
 from .hj_junction import Mesh
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -96,10 +96,7 @@ class _CostCache:
     """Caches J(A) per canonical control; counts distinct evaluations."""
 
     def __init__(self, model, u0, spec, mesh, budget):
-        self.model = model
-        self.u0 = u0
-        self.spec = spec
-        self.mesh = mesh
+        self.problem = Problem(model, u0, spec, mesh)
         self.budget = budget
         self.cache = {}
         self.evals = 0
@@ -114,7 +111,7 @@ class _CostCache:
         if self.evals >= self.budget:
             self.exhausted = True
             return math.inf
-        val = cost(self.model, self.u0, self.spec, A, self.mesh)
+        val = self.problem.cost(A)
         self.evals += 1
         self.cache[key] = val
         if val < self.best:

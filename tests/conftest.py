@@ -85,6 +85,17 @@ def trapezoid(axis):
     return w
 
 
+def dwell_measure_reference(phi_vals, mesh, tfield, s):
+    """D(s) for one s: phi times the 0/1 dwell indicator, one einsum."""
+    ind = (
+        tfield["is_dwell"]
+        & (np.nan_to_num(tfield["a"], nan=np.inf) <= s)
+        & (s <= np.nan_to_num(tfield["b"], nan=-np.inf))
+        & (mesh.ts[None, :] > s)
+    )
+    return float(np.einsum("i,j,ij->", trapezoid(mesh.xs), trapezoid(mesh.ts), phi_vals * ind))
+
+
 def asym_case():
     """An asymmetric quadratic junction with a 4-piece datum."""
     model = JunctionModel(Hamiltonian(R=1.0, kappa=1.0), Hamiltonian(R=2.0, kappa=0.5))

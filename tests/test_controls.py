@@ -33,10 +33,6 @@ class TestControl:
         assert A(1.0) == -0.1
         assert A(2.0) == -0.1
 
-    def test_is_bangbang(self):
-        assert Control((0.0, 1.0, 2.0), (0.0, A0)).is_bangbang(A0)
-        assert not Control((0.0, 2.0), (-0.1,)).is_bangbang(A0)
-
     def test_shifted(self):
         A = Control((0.0, 1.0, 3.0), (-0.2, -0.1))
         B = A.shifted(0.5)

@@ -79,36 +79,36 @@ class TestFlux:
 
 class TestLagrangian:
     def test_examples_against_numeric_sup(self, quad):
-        assert quad.lagrangian(0.0) == pytest.approx(0.25, abs=1e-12)
+        assert quad.leg_cost(0.0, 1.0) == pytest.approx(0.25, abs=1e-12)
         for alpha, expect in [(1.0, 0.0), (-2.0, 2.0)]:
-            assert quad.lagrangian(alpha) == pytest.approx(expect, abs=1e-9)
-            assert quad.lagrangian(alpha) == pytest.approx(
+            assert quad.leg_cost(alpha, 1.0) == pytest.approx(expect, abs=1e-9)
+            assert quad.leg_cost(alpha, 1.0) == pytest.approx(
                 numeric_conjugate(quad, alpha), abs=1e-9
             )
 
     def test_piecewise_structure(self, quad):
-        assert quad.lagrangian(2.0) == 0.0
-        assert quad.lagrangian(1.0) == 0.0
-        assert quad.lagrangian(-3.0) == pytest.approx(3.0)
+        assert quad.leg_cost(2.0, 1.0) == 0.0
+        assert quad.leg_cost(1.0, 1.0) == 0.0
+        assert quad.leg_cost(-3.0, 1.0) == pytest.approx(3.0)
 
     @given(st.floats(-4.0, 4.0))
     @settings(max_examples=60, deadline=None)
     def test_matches_numeric_sup(self, alpha):
         H = Hamiltonian(R=1.0)
-        assert H.lagrangian(alpha) == pytest.approx(numeric_conjugate(H, alpha), abs=1e-9)
+        assert H.leg_cost(alpha, 1.0) == pytest.approx(numeric_conjugate(H, alpha), abs=1e-9)
 
     @given(st.floats(-1.0, 0.0), st.floats(-3.0, 3.0))
     @settings(max_examples=80, deadline=None)
     def test_fenchel_inequality(self, p, alpha):
         H = Hamiltonian(R=1.0)
-        assert alpha * p <= H.lagrangian(alpha) + H.value(p) + 1e-10
+        assert alpha * p <= H.leg_cost(alpha, 1.0) + H.value(p) + 1e-10
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=80, deadline=None)
     def test_convexity_midpoint(self, a, b):
         H = Hamiltonian(R=1.0)
-        mid = H.lagrangian(0.5 * (a + b))
-        assert mid <= 0.5 * (H.lagrangian(a) + H.lagrangian(b)) + 1e-12
+        mid = H.leg_cost(0.5 * (a + b), 1.0)
+        assert mid <= 0.5 * (H.leg_cost(a, 1.0) + H.leg_cost(b, 1.0)) + 1e-12
 
 
 class TestTabulated:
@@ -130,7 +130,7 @@ class TestTabulated:
 
     def test_conjugate_matches_numeric(self, tab):
         for alpha in (-2.0, -0.7, 0.0, 0.4, 1.5):
-            assert tab.lagrangian(alpha) == pytest.approx(
+            assert tab.leg_cost(alpha, 1.0) == pytest.approx(
                 numeric_conjugate(tab, alpha), abs=1e-6
             )
 

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from junctionflow import Control, Hamiltonian, InitialData, JunctionModel, Mesh, value_grid
+from junctionflow import (Control, Hamiltonian, InitialData, JunctionModel, LEAST_AT_ZERO, MOST_AT_ZERO,
+                          Mesh, trajectory_field, value_grid)
 from junctionflow.flux_models import ModelError
 from junctionflow.functionals import (
     BoxWeight,
     CostSpec,
     FunctionalError,
+    Rule,
     SampledWeight,
     cost,
     cost_report,
@@ -16,8 +18,10 @@ from junctionflow.functionals import (
     make_box_weight,
 )
 from junctionflow.hj_junction import SolverError
+from junctionflow.optimality import _dwell_measures, check_optimality, default_s_samples
+from junctionflow.optimizer import optimize_bangbang, optimize_relaxed
 
-from conftest import TAB, T_HORIZON, asym_case, random_control, trapezoid
+from conftest import TAB, T_HORIZON, asym_case, dwell_measure_reference, random_control, trapezoid
 
 _QUAD = Hamiltonian(R=1.0)
 _ASYM, _ASYM_U0 = asym_case()
@@ -29,6 +33,7 @@ SUPPORT_CASES = [
     (JunctionModel(TAB, TAB, equal_minima=True), InitialData((), (-0.8,), capacities=(1.0, 1.0))),
 ]
 SUPPORT_MESH = Mesh.regular(0.02, 0.5, 25, 5.7, 41, tmin=0.3)
+SELECTIONS = (MOST_AT_ZERO, LEAST_AT_ZERO)
 
 
 class TestBoxWeight:
@@ -167,11 +172,20 @@ class TestCost:
 
 
 class TestSupportSubMesh:
-    """cost evaluates u only where phi is nonzero; J stays the full-mesh sum bitwise."""
+    """cost evaluates u only where phi is nonzero; J stays the full-mesh sum bitwise,
+    and so do the dwell measures D(s) summed by the same rule."""
 
     @staticmethod
     def full_mesh_term(model, u0, spec, A, mesh):
         return field_term(spec, value_grid(model, u0, A, mesh))
+
+    @staticmethod
+    def assert_dwell_measures_bitwise(model, u0, spec, A, select):
+        tf = trajectory_field(model, u0, A, SUPPORT_MESH, select)
+        phi = spec.weight.phi_grid(SUPPORT_MESH)
+        s = default_s_samples(A.horizon, A, n=16)
+        ref = [dwell_measure_reference(phi, SUPPORT_MESH, tf, v) for v in s]
+        assert np.array_equal(_dwell_measures(Rule.of(phi, SUPPORT_MESH), tf, s), ref)
 
     @given(case=st.integers(0, len(SUPPORT_CASES) - 1), seed=st.integers(0, 2**32 - 1),
            cells=st.integers(1, 5), rows=st.tuples(st.integers(1, 23), st.integers(0, 4)),
@@ -193,6 +207,7 @@ class TestSupportSubMesh:
         A = random_control(np.random.default_rng(seed), model.A0, cells=cells)
         jf = cost_report(model, u0, spec, A, SUPPORT_MESH)["J_field_term"]
         assert jf == self.full_mesh_term(model, u0, spec, A, SUPPORT_MESH)
+        self.assert_dwell_measures_bitwise(model, u0, spec, A, SELECTIONS[seed % 2])
 
     @given(case=st.integers(0, len(SUPPORT_CASES) - 1), seed=st.integers(0, 2**32 - 1),
            cells=st.integers(1, 5), density=st.floats(0.0, 0.3))
@@ -209,6 +224,7 @@ class TestSupportSubMesh:
         A = random_control(rng, model.A0, cells=cells)
         jf = cost_report(model, u0, spec, A, SUPPORT_MESH)["J_field_term"]
         assert jf == self.full_mesh_term(model, u0, spec, A, SUPPORT_MESH)
+        self.assert_dwell_measures_bitwise(model, u0, spec, A, SELECTIONS[seed % 2])
 
     def test_mesh_past_the_horizon_raises_with_the_box_before_it(self, model, u0, box_spec):
         mesh = Mesh.regular(0.08, 0.2, 13, 6.5, 41, tmin=0.9)
@@ -236,3 +252,21 @@ class TestSupportSubMesh:
         with pytest.raises(ModelError, match="capacities"):
             cost(model, u0, spec, Control((0.0, T_HORIZON), (0.0,)), functional_mesh)
 
+
+class TestRuleBuiltOnce:
+    """A run builds the weight's rule once: one phi_grid per optimizer run and per audit."""
+
+    MESH = Mesh.regular(0.08, 0.2, 13, 5.1, 41, tmin=0.9)
+
+    @pytest.mark.parametrize("run", ["bangbang", "relaxed", "audit"])
+    def test_one_phi_grid_per_run(self, model, u0, box_spec, switching, monkeypatch, run):
+        calls = []
+        phi_grid = BoxWeight.phi_grid
+        monkeypatch.setattr(BoxWeight, "phi_grid", lambda self, mesh: calls.append(1) or phi_grid(self, mesh))
+        if run == "audit":
+            check_optimality(model, u0, switching, box_spec, self.MESH)
+        else:
+            optimize = optimize_bangbang if run == "bangbang" else optimize_relaxed
+            res = optimize(model, u0, box_spec, T_HORIZON, 1, 50, self.MESH)
+            assert res.evals > 1
+        assert len(calls) == 1

@@ -3,27 +3,16 @@ import pytest
 
 from junctionflow import (Control, InitialData, JunctionModel, LEAST_AT_ZERO, MOST_AT_ZERO, Mesh,
                           junction_values, optimality, trajectory_field)
-from junctionflow.functionals import CostSpec, SampledWeight, cost, quadrature
+from junctionflow.functionals import CostSpec, Rule, SampledWeight, cost
 from junctionflow.optimality import check_optimality, component_report, default_s_samples
 
-from conftest import TAB, T_HORIZON, asym_case, random_control, trapezoid
+from conftest import TAB, T_HORIZON, asym_case, dwell_measure_reference, random_control
 
 
 def clipped_spec(box, mesh, sign):
     phi = box.phi_grid(mesh)
     vals = np.maximum(phi, 0.0) if sign > 0 else np.minimum(phi, 0.0)
     return CostSpec(SampledWeight(mesh.xs, mesh.ts, vals))
-
-
-def dwell_measure_reference(phi_vals, mesh, tfield, s):
-    """D(s) for one s: phi times the 0/1 dwell indicator, one einsum."""
-    ind = (
-        tfield["is_dwell"]
-        & (np.nan_to_num(tfield["a"], nan=np.inf) <= s)
-        & (s <= np.nan_to_num(tfield["b"], nan=-np.inf))
-        & (mesh.ts[None, :] > s)
-    )
-    return float(np.einsum("i,j,ij->", trapezoid(mesh.xs), trapezoid(mesh.ts), phi_vals * ind))
 
 
 class TestDwellMeasure:
@@ -39,41 +28,43 @@ class TestDwellMeasure:
         s = default_s_samples(T_HORIZON, A)
         ref = [dwell_measure_reference(phi, functional_mesh, tf, v) for v in s]
         assert np.count_nonzero(ref) > 20
-        assert np.array_equal(optimality._dwell_measures(phi, functional_mesh, tf, s), ref)
+        rule = Rule.of(phi, functional_mesh)
+        assert np.array_equal(optimality._dwell_measures(rule, tf, s), ref)
 
     def test_zero_weight(self, model, u0, switching, functional_mesh):
         spec = CostSpec(SampledWeight(functional_mesh.xs, functional_mesh.ts,
                                       np.zeros((len(functional_mesh.xs), len(functional_mesh.ts)))))
-        phi = spec.weight.phi_grid(functional_mesh)
+        rule = Rule.of(spec.weight.phi_grid(functional_mesh), functional_mesh)
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
-        assert optimality._dwell_measures(phi, functional_mesh, tf, [1.0]) == 0.0
+        assert optimality._dwell_measures(rule, tf, [1.0]) == 0.0
         ss = default_s_samples(T_HORIZON, switching, n=8)  # the empty support: zeros, no raise
-        assert optimality._dwell_measures(phi, functional_mesh, tf, ss).tolist() == [0.0] * 8
+        assert optimality._dwell_measures(rule, tf, ss).tolist() == [0.0] * 8
 
     def test_beyond_support_is_zero(self, model, u0, switching, box_spec, functional_mesh):
-        phi = box_spec.weight.phi_grid(functional_mesh)
+        rule = Rule.of(box_spec.weight.phi_grid(functional_mesh), functional_mesh)
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
-        assert optimality._dwell_measures(phi, functional_mesh, tf, [5.05]) == 0.0
+        assert optimality._dwell_measures(rule, tf, [5.05]) == 0.0
 
     def test_nonincreasing_nonnegative_before_switch(self, model, u0, switching,
                                                      box_spec, functional_mesh):
         # on (s_bar_minus, tau) = (0, t2) for the canonical switching control
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         ss = np.linspace(0.15, 1.35, 9)
-        phi = box_spec.weight.phi_grid(functional_mesh)
-        vals = optimality._dwell_measures(phi, functional_mesh, tf, ss)
+        rule = Rule.of(box_spec.weight.phi_grid(functional_mesh), functional_mesh)
+        vals = optimality._dwell_measures(rule, tf, ss)
         tol = 2e-3
         assert min(vals) >= -tol
         assert all(vals[i + 1] <= vals[i] + tol for i in range(len(vals) - 1))
 
     def test_most_dominates_least_for_nonnegative_weight(self, model, u0, switching,
                                                          box, functional_mesh):
-        phi = clipped_spec(box, functional_mesh, +1).weight.phi_grid(functional_mesh)
+        rule = Rule.of(clipped_spec(box, functional_mesh, +1).weight.phi_grid(functional_mesh),
+                       functional_mesh)
         tfp = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         tfm = trajectory_field(model, u0, switching, functional_mesh, LEAST_AT_ZERO)
         ss = (0.3, 0.9, 1.2, 1.45)
-        hp = optimality._dwell_measures(phi, functional_mesh, tfp, ss)
-        hm = optimality._dwell_measures(phi, functional_mesh, tfm, ss)
+        hp = optimality._dwell_measures(rule, tfp, ss)
+        hm = optimality._dwell_measures(rule, tfm, ss)
         assert np.all(hp >= hm - 1e-12)
 
 
@@ -104,14 +95,14 @@ class TestCellDerivatives:
         with the LeastAtZero paths. Both equal one-sided difference quotients of J."""
         model, u0, A = danskin_case(case, model, u0)
         mesh, h = functional_mesh, 1e-7
-        phi = box_spec.weight.phi_grid(mesh)
+        rule = Rule.of(box_spec.weight.phi_grid(mesh), mesh)
         c0, c1 = np.asarray(A.times[:-1]), np.asarray(A.times[1:])
         J = cost(model, u0, box_spec, A, mesh)
         for select, sign in ((MOST_AT_ZERO, 1.0), (LEAST_AT_ZERO, -1.0)):
             tf = trajectory_field(model, u0, A, mesh, select)
             a, b = (np.where(tf["is_dwell"], tf[k], 0.0)[..., None] for k in ("a", "b"))
             overlap = np.maximum(np.minimum(b, c1) - np.maximum(a, c0), 0.0)  # a trailing cell axis
-            d = box_spec.linear_coeff * (c1 - c0) - quadrature(phi, mesh, overlap)
+            d = box_spec.linear_coeff * (c1 - c0) - rule.sum(overlap[np.ix_(rule.rows, rule.cols)])
             q = np.array([(cost(model, u0, box_spec, Control(A.times, tuple(A.values + e)), mesh) - J)
                           / (sign * h) for e in sign * h * np.eye(len(c0))])
             if sign > 0:
@@ -146,6 +137,12 @@ def verdicts_reference(audit, model, spec):
 
 
 class TestCheckOptimality:
+    def test_even_mesh_with_the_box_on_its_edge(self, model, u0, switching, box_spec):
+        # the coarsened error estimate's last row is the mesh's last but one, where phi lives
+        mesh = Mesh.regular(0.08, 0.18, 40, 5.1, 160, tmin=0.9)
+        assert box_spec.weight.phi_grid(mesh)[-2].any()
+        assert check_optimality(model, u0, switching, box_spec, mesh).ok
+
     def test_verdicts_equal_the_per_sample_loop(self, model, u0, box, switching, free_flow, blocked):
         mesh = Mesh.regular(0.08, 0.2, 21, 5.1, 81, tmin=0.9)
         rng = np.random.default_rng(4)
@@ -251,6 +248,13 @@ class TestComponentReport:
     def test_free_flow_no_components(self, model, u0, free_flow, functional_mesh):
         rep = component_report(model, u0, free_flow, functional_mesh)
         assert rep.components == ()
+
+    def test_downward_switch_closely_followed_by_an_upward_one(self, model, u0, functional_mesh):
+        # A(1.5 - 1e-12) == A(1.5 + 1e-12) == 0: the switch shows only in the control's values
+        A = Control((0.0, 1.5, 1.5 + 5e-13, T_HORIZON), (0.0, model.A0, 0.0))
+        rep = component_report(model, u0, A, functional_mesh)
+        assert len(rep.components) == 1
+        assert rep.tau_hat == (1.5,)
 
     def test_switching_single_component(self, model, u0, switching, box_spec,
                                         functional_mesh):

@@ -50,7 +50,7 @@ class TestBangBang:
         j_blocked = cost(model, u0, box_spec, blocked, small_mesh)
         assert res.cost < j_free - 1e-4 * abs(res.cost)
         assert res.cost < j_blocked - 1e-4 * abs(res.cost)
-        assert res.control.is_bangbang(model.A0)
+        assert set(res.control.values) <= {0.0, model.A0}
 
     def test_history_monotone_and_cost_rechecks(self, model, u0, box_spec, small_mesh):
         res = optimize_bangbang(model, u0, box_spec, T_HORIZON, 1, 80, small_mesh)
