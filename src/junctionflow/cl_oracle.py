@@ -105,8 +105,9 @@ def solve_cl(
     its own side, then reads every face from them: interior faces
     min(f_plus[i], f_minus[i + 1]), each ghost face min(f_plus, f_minus) of
     its end cell, and the junction face min(-A(t), f_plus^L, f_minus^R) of
-    the two cells beside x = 0, after the limiter's range check. These are
-    the exact Riemann flux of each face and junction_flux, to the last bit.
+    the two cells beside x = 0; the limiter's values are range-checked once,
+    before the first step. These are the exact Riemann flux of each face and
+    junction_flux, to the last bit.
     """
     if not 0.0 < cfl <= 1.0:
         raise SolverError(f"cfl must be in (0, 1], got {cfl}")
@@ -135,6 +136,7 @@ def solve_cl(
     if stops[-1] + dt_max == stops[-1]:
         raise SolverError(f"the CFL step {dt_max:.3g} does not advance t = {stops[-1]}; "
                           "the cells are too narrow")
+    _check_limiter(model, A.values)
     out = np.empty((len(rho), len(times)))
     out[:, 0] = rho
     snap = 1
@@ -146,7 +148,7 @@ def solve_cl(
             dt = min(dt_max, stop - t)
             fpl, fml = flux_branches(model.left, rho[:iz])
             fpr, fmr = flux_branches(model.right, rho[iz:])
-            a = _check_limiter(model, A(t))
+            a = A(t)
             # interior faces per side, zero-gradient ghosts, the junction face
             fl[1:iz] = np.minimum(fpl[:-1], fml[1:])
             fl[iz + 1 : -1] = np.minimum(fpr[:-1], fmr[1:])

@@ -69,11 +69,6 @@ class BoxWeight:
         if not 0.0 < self.delta < min(gaps) / 4.0:
             raise FunctionalError(f"delta must lie in (0, {min(gaps) / 4.0})")
 
-    @property
-    def geometry_ok(self) -> bool:
-        """No characteristic can cross both signed regions: x1/t2 > x2/t3."""
-        return self.x1 / self.t2 > self.x2 / self.t3
-
     def psi1(self, x):
         x = np.asarray(x, dtype=float)
         up = _smoothstep((x - self.x1) / self.delta)
@@ -127,8 +122,7 @@ class SampledWeight:
         object.__setattr__(self, "values", vals)
 
     def phi_grid(self, mesh: Mesh) -> np.ndarray:
-        if len(mesh.xs) != len(self.xs) or len(mesh.ts) != len(self.ts) or \
-                not np.allclose(mesh.xs, self.xs) or not np.allclose(mesh.ts, self.ts):
+        if not (np.array_equal(mesh.xs, self.xs) and np.array_equal(mesh.ts, self.ts)):
             raise FunctionalError("sampled weight lives on a different mesh")
         return self.values
 

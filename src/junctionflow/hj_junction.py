@@ -26,6 +26,9 @@ is the infimum up to rounding. Tie selection reads the exact minimizer
 sets of the same pieces: a segment's stay end, which runs on to the
 segment's end only where exits at full speed cost a constant (an A = 0
 hold), and a piece's stationary point, clipped to the piece.
+
+Every mesh output goes through one walk (_walk) over blocks of mesh rows
+(times) that hold every column; rows at t = 0 hold the datum.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ LEAST_AT_ZERO = "LeastAtZero"
 
 TIE_SCALE = 1e-14  # paths within TIE_SCALE (1 + |v|) of the value v tie: rounding only
 CONTROL_RANGE_TOL = 1e-9
-_BLOCK = 1 << 18  # node-by-segment elements per block of rows in dwell_batch
-_SELECT_BLOCK = 1 << 14  # node-by-piece elements per block of nodes in trajectory_field
+_BLOCK = 1 << 18  # node-by-lane elements per block of rows in the mesh walk
 
 
 class SolverError(ValueError):
@@ -287,20 +289,9 @@ class Evaluator:
         cost = self._piece(S, slice(None), b) + self.exit_cost(x, t, b)
         return b, np.where(S["lo"] <= t, cost, np.inf)
 
-    def dwell_batch(self, xs, ts):
-        """min over 0 <= a <= b <= t of the dwell-path cost, shaped (Nr, Nx).
-
-        All rows share the x axis. Rows go in blocks that keep the
-        node-by-segment arrays small.
-        """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((len(ts), len(xs)))
-        step = max(1, _BLOCK // (len(xs) * len(self._seg["lo"])))
-        for r in range(0, len(ts), step):
-            _, cost = self._stay_ends(xs[None, :, None], ts[r : r + step, None, None])
-            out[r : r + step] = cost.min(axis=2)
-        return out
+    def dwell_batch(self, x, t):
+        """min over 0 <= a <= b <= t of the dwell-path cost at the broadcast nodes (x, t)."""
+        return self._stay_ends(x[..., None], t[..., None])[1].min(axis=-1)
 
     def _dwell_start(self, a):
         """Dwell starts a, first-leg starts y and approach costs G(a); a dwell that
@@ -309,16 +300,10 @@ class Evaluator:
         snap = (a <= 0.0) | (np.abs(y) <= 1e-12)
         return np.where(snap, 0.0, a), np.where(snap, 0.0, y), np.where(snap, 0.0, g)
 
-    def _check_time(self, t):
-        if np.min(t) <= 0.0:
-            raise SolverError(f"t must be positive, got {np.min(t)}")
-        if np.max(t) > self.A.horizon + 1e-12:
-            raise SolverError(f"t = {np.max(t)} beyond the control horizon {self.A.horizon}")
-
     # ---- trajectory selection ----------------------------------------------------
 
     def selection(self, x, t, select: str):
-        """The selected path into each node (x[i], t[i]) under the documented tie rule.
+        """The selected path into each node of the broadcast (x, t), t > 0, under the tie rule.
 
         A path ties when it costs the value v within TIE_SCALE (1 + |v|),
         which only absorbs rounding. Among tied paths the dwell end b is
@@ -332,14 +317,15 @@ class Evaluator:
         dwell measures of the two selections are the one-sided derivatives
         of the value in A (Danskin). Only the nodes where the selector
         dwells pick a and b. A node's result does not depend on the other
-        nodes. Returns per-node arrays (is_dwell, a, b, value), a and b NaN
-        on straight paths, then the selected path's first-leg start y and
-        cost.
+        nodes. The nodes are a block of grid rows or scattered points; the
+        results are flat per-node arrays in the broadcast's C order:
+        (is_dwell, a, b, value), a and b NaN on straight paths, then the
+        selected path's first-leg start y and cost.
         """
         if select not in (MOST_AT_ZERO, LEAST_AT_ZERO):
             raise SolverError(f"unknown selector {select!r}")
-        x, t = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, t))
-        self._check_time(t)
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        x, t = x.ravel(), t.ravel()
         f1, y1 = self.straight_value(x, t, need_y=True)
         b, cost = self._stay_ends(x[:, None], t[:, None])
         vd = cost.min(axis=1)
@@ -380,6 +366,8 @@ class Evaluator:
 def _selected(model, u0, A, x, t, select: str):
     """u^A(x, t) and the descriptor of the path select picks, from one selection."""
     x, t = float(x), float(t)
+    if not 0.0 < t <= A.horizon + 1e-12:
+        raise SolverError(f"t = {t} outside (0, {A.horizon}]")
     dwells, a, b, v, y, cost = (float(r[0]) for r in Evaluator(model, u0, A).selection(x, t, select))
     if dwells:
         return v, TrajectoryDescriptor(x, t, "dwell", y, cost, a, b)
@@ -391,31 +379,47 @@ def value(model, u0, A, x, t):
     return _selected(model, u0, A, x, t, MOST_AT_ZERO)
 
 
-def _grid_block(ev: Evaluator, xs, ts_block):
-    out = np.empty((len(xs), len(ts_block)))
-    pos = ts_block > 0
-    if np.any(pos):
-        ts = ts_block[pos]
-        f1, _ = ev.straight_value(xs[None, :], ts[:, None])
-        out[:, pos] = np.minimum(f1, ev.dwell_batch(xs, ts)).T
-    if np.any(~pos):
-        out[:, ~pos] = np.asarray(ev.u0.eval(xs), dtype=float)[:, None]
-    return out
+def _check_times(ts, A: Control):
+    """Reject times past the control horizon or before 0."""
+    if ts.size and ts.max() > A.horizon + 1e-12:
+        raise SolverError(f"t = {ts.max()} beyond the control horizon {A.horizon}")
+    if ts.size and not ts.min() >= 0.0:  # NaN too
+        raise SolverError(f"times must be nonnegative, got {ts.min()}")
 
 
 def check_mesh(mesh: Mesh, A: Control):
     """Reject a mesh that runs past the control horizon or has negative times."""
-    if mesh.ts[-1] > A.horizon + 1e-12:
-        raise SolverError("mesh extends beyond the control horizon")
-    if mesh.ts[0] < 0:
-        raise SolverError("mesh times must be nonnegative")
+    _check_times(mesh.ts, A)
+
+
+def _walk(ev: Evaluator, xs, ts, select=None):
+    """The value u (select None) or selection's (is_dwell, a, b, value) at the
+    nodes (xs[i], ts[j]), 0 <= ts[j] <= T, as (len(xs), len(ts)) arrays. Each
+    block of rows goes to the Evaluator as broadcast (x, t) and holds about
+    _BLOCK node-by-lane elements, the lanes being the wider of the trace
+    segments and the pieces of G + I."""
+    _check_times(ts, ev.A)
+    fill = (np.nan,) if select is None else (False, np.nan, np.nan, np.nan)
+    outs = [np.full((len(xs), len(ts)), f) for f in fill]
+    live = np.flatnonzero(ts)
+    if len(live) < len(ts):  # rows at t = 0 hold the datum
+        outs[-1][:, ts == 0.0] = np.asarray(ev.u0.eval(xs), dtype=float)[:, None]
+    step = max(1, _BLOCK // (len(xs) * max(len(ev._seg["lo"]), len(ev._phi["lo"]))))
+    for lo in range(0, len(live), step):
+        r = live[lo : lo + step]
+        x, t = xs[None, :], ts[r, None]
+        if select is None:
+            res = (np.minimum(ev.straight_value(x, t)[0], ev.dwell_batch(x, t)),)
+        else:
+            res = ev.selection(x, t, select)
+        for out, v in zip(outs, res):
+            out[:, r] = v.reshape(len(r), len(xs)).T
+    return outs
 
 
 def value_grid(model, u0, A, mesh: Mesh) -> ValueField:
     """u^A on the mesh."""
-    ev = Evaluator(model, u0, A)
-    check_mesh(mesh, A)
-    u = _grid_block(ev, mesh.xs, mesh.ts)
+    (u,) = _walk(Evaluator(model, u0, A), mesh.xs, mesh.ts)
     return ValueField(mesh.xs, mesh.ts, u)
 
 
@@ -425,23 +429,9 @@ def optimal_trajectory(model, u0, A, x, t, select: str) -> TrajectoryDescriptor:
 
 
 def trajectory_field(model, u0, A, mesh: Mesh, select: str):
-    """Descriptor data for every mesh node: (is_dwell, a, b, value) arrays.
-
-    The nodes go in blocks that keep the node-by-piece arrays small; a
-    node's result does not depend on its block.
-    """
-    ev = Evaluator(model, u0, A)
-    check_mesh(mesh, A)
-    X, T = (g.ravel() for g in np.meshgrid(mesh.xs, mesh.ts, indexing="ij"))
-    out = dict(is_dwell=np.zeros(X.size, dtype=bool), a=np.full(X.size, np.nan),
-               b=np.full(X.size, np.nan), value=np.asarray(u0.eval(X), dtype=float))
-    live = np.flatnonzero(T > 0)  # t = 0 holds the datum
-    step = max(1, _SELECT_BLOCK // max(len(ev._seg["lo"]), len(ev._phi["lo"])))
-    for lo in range(0, len(live), step):
-        k = live[lo : lo + step]
-        for key, v in zip(out, ev.selection(X[k], T[k], select)):
-            out[key][k] = v
-    return {key: v.reshape(len(mesh.xs), len(mesh.ts)) for key, v in out.items()}
+    """Descriptor data for every mesh node: (is_dwell, a, b, value) arrays."""
+    out = _walk(Evaluator(model, u0, A), mesh.xs, mesh.ts, select)
+    return dict(zip(("is_dwell", "a", "b", "value"), out))
 
 
 def brute_force_field(model, u0, A, t, lattice=(200, 200), *, domain):
@@ -494,8 +484,8 @@ def brute_force_field(model, u0, A, t, lattice=(200, 200), *, domain):
 
 
 def junction_values(model, u0, A, ts):
-    """u^A(0, t) for each requested time (direct evaluation, no extrapolation)."""
-    return _grid_block(Evaluator(model, u0, A), np.array([0.0]), np.asarray(ts, dtype=float))[0]
+    """u^A(0, t) for each requested time in [0, T] (direct evaluation, no extrapolation)."""
+    return _walk(Evaluator(model, u0, A), np.zeros(1), np.asarray(ts, dtype=float))[0][0]
 
 
 def gradient_audit(field: ValueField, model: JunctionModel, tol_factor: float = 3.0):

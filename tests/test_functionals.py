@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from junctionflow import (Control, Hamiltonian, InitialData, JunctionModel, LEAST_AT_ZERO, MOST_AT_ZERO,
                           Mesh, trajectory_field, value_grid)
+from junctionflow.cli import verify_box_conditions
 from junctionflow.flux_models import ModelError
 from junctionflow.functionals import (
     BoxWeight,
@@ -21,7 +22,7 @@ from junctionflow.hj_junction import SolverError
 from junctionflow.optimality import _dwell_measures, check_optimality, default_s_samples
 from junctionflow.optimizer import optimize_bangbang, optimize_relaxed
 
-from conftest import TAB, T_HORIZON, asym_case, dwell_measure_reference, random_control, trapezoid
+from conftest import P_SLOPE, TAB, T_HORIZON, asym_case, dwell_measure_reference, random_control, trapezoid
 
 _QUAD = Hamiltonian(R=1.0)
 _ASYM, _ASYM_U0 = asym_case()
@@ -55,12 +56,17 @@ class TestBoxWeight:
         neg = P < 0
         assert np.all((T[neg] > 4.5) & (T[neg] < 5.0))
 
-    def test_geometry_flag_arithmetic(self):
+    def test_geometry_flag_arithmetic(self, model):
+        def geometry(box):  # condition 4 of the box conditions
+            name, *_, ok = verify_box_conditions(model, P_SLOPE, box)[3]
+            assert name == "x1/t2 > x2/t3"
+            return ok
+
         box = make_box_weight(0.1, 0.18, 1.0, 1.5, 4.5, 5.0, 0.015)
         assert 0.1 / 1.5 == pytest.approx(0.0667, abs=1e-4)
-        assert box.geometry_ok  # 0.0667 > 0.04
+        assert geometry(box)  # 0.0667 > 0.04
         tall = make_box_weight(0.1, 0.18, 1.0, 1.5, 1.7, 2.2, 0.015)
-        assert not tall.geometry_ok  # 0.0667 < 0.18/1.7
+        assert not geometry(tall)  # 0.0667 < 0.18/1.7
 
     def test_validation(self):
         with pytest.raises(FunctionalError):
@@ -87,6 +93,15 @@ class TestCost:
         for _ in range(20):
             field = value_grid(model, u0, random_control(rng, model.A0), functional_mesh)
             assert field_term(box_spec, field) == float(np.einsum("i,j,ij->", wx, wt, phi * field.u))
+
+    def test_sampled_weight_refuses_a_nearby_mesh(self):
+        mesh = Mesh.regular(0.0, 0.3, 5, 6.0, 4)
+        phi = SampledWeight(mesh.xs, mesh.ts, np.ones((5, 4)))
+        assert phi.phi_grid(Mesh(mesh.xs.copy(), mesh.ts.copy())) is phi.values
+        for near in (Mesh(mesh.xs * (1 + 1e-6), mesh.ts), Mesh(mesh.xs, mesh.ts * (1 + 1e-6)),
+                     Mesh(mesh.xs[:-1], mesh.ts)):
+            with pytest.raises(FunctionalError, match="different mesh"):
+                phi.phi_grid(near)
 
     def test_zero_weight_gives_linear_term(self, model, u0):
         mesh = Mesh.regular(0.0, 0.3, 11, 6.0, 13)

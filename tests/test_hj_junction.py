@@ -22,8 +22,9 @@ from junctionflow import (
     value_grid,
     weak_star_square_wave,
 )
+from junctionflow import hj_junction
 from junctionflow.dp_oracle import _dp_domain, _dp_side_step, _exit_legs
-from junctionflow.hj_junction import _SELECT_BLOCK, Evaluator, brute_force_field
+from junctionflow.hj_junction import Evaluator, brute_force_field
 
 from conftest import (
     H_OF_P,
@@ -403,21 +404,33 @@ class TestTrajectoryField:
                 for out, ref in zip(batch, alone):
                     assert out[k : k + 1].tobytes() == ref.tobytes(), (sel, k)
 
-    def test_sub_mesh_is_a_bitwise_slice(self, model, u0, functional_mesh):
+    def test_sub_mesh_is_a_bitwise_slice(self, model, u0, functional_mesh, monkeypatch):
+        """Every walk gives its default-block result in blocks of a few rows, and
+        on a sub-mesh the slice of its result on the whole mesh."""
         A = Control((0.0, 1.2, 2.0, 3.1, T_HORIZON), (-0.05, 0.0, -0.2, -0.1))
-        ev = Evaluator(model, u0, A)
-        width = max(len(ev._seg["lo"]), len(ev._phi["lo"]))
-        full = functional_mesh
-        assert full.xs.size * full.ts.size > 2 * (_SELECT_BLOCK // width)  # several blocks
         rows, cols = slice(3, 38, 4), slice(10, 150, 9)
-        sub = Mesh(full.xs[rows], full.ts[cols])
-        for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
-            whole = trajectory_field(model, u0, A, full, sel)
-            part = trajectory_field(model, u0, A, sub, sel)
-            for key in ("is_dwell", "a", "b", "value"):
-                assert np.array_equal(part[key], whole[key][rows, cols], equal_nan=True), key
-        assert np.array_equal(value_grid(model, u0, A, sub).u,
-                              value_grid(model, u0, A, full).u[rows, cols])
+        meshes = dict(full=functional_mesh, sub=Mesh(functional_mesh.xs[rows], functional_mesh.ts[cols]))
+
+        def walks():
+            out = {("trace",): junction_values(model, u0, A, functional_mesh.ts)}
+            for name, mesh in meshes.items():
+                out[name, "u"] = value_grid(model, u0, A, mesh).u
+                for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+                    out.update({(name, sel, k): v for k, v in trajectory_field(model, u0, A, mesh, sel).items()})
+            return out
+
+        default = walks()
+        ev = Evaluator(model, u0, A)
+        lanes = max(len(ev._seg["lo"]), len(ev._phi["lo"]))
+        monkeypatch.setattr(hj_junction, "_BLOCK", 1 << 9)
+        for mesh in (*meshes.values(), Mesh(np.zeros(1), functional_mesh.ts)):
+            assert len(mesh.ts) > 2 * max(1, (1 << 9) // (len(mesh.xs) * lanes))  # several row blocks
+        small = walks()
+        assert small.keys() == default.keys()
+        for key, ref in default.items():
+            assert np.array_equal(small[key], ref, equal_nan=True), key
+            if key[0] == "sub":
+                assert np.array_equal(small[key], small[("full",) + key[1:]][rows, cols], equal_nan=True), key
 
     def test_datum_row_and_time_errors(self, model, u0, switching):
         mesh = Mesh(np.linspace(-1.0, 1.0, 5), np.array([0.0, 1.0]))
@@ -428,6 +441,15 @@ class TestTrajectoryField:
             trajectory_field(model, u0, switching, Mesh(mesh.xs, np.array([1.0, 7.0])), MOST_AT_ZERO)
         with pytest.raises(SolverError):
             optimal_trajectory(model, u0, switching, 0.5, 0.0, MOST_AT_ZERO)
+
+    def test_junction_values_stay_inside_the_horizon(self, model, u0, switching):
+        ts = np.array([0.0, 3.0, T_HORIZON])
+        trace = junction_values(model, u0, switching, ts)
+        assert trace[0] == u0.eval(0.0)
+        assert trace[1:].tolist() == [value(model, u0, switching, 0.0, t)[0] for t in ts[1:]]
+        for bad in ([5.0, 6.0, 7.0, 50.0], [-1.0, 0.0], [T_HORIZON + 1e-9], [1.0, np.nan]):
+            with pytest.raises(SolverError):
+                junction_values(model, u0, switching, bad)
 
 
 # ---- the exit leg and the exact selection ----------------------------------------
