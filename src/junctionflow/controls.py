@@ -37,7 +37,7 @@ class Control:
             raise ControlError("control needs at least one cell")
         if times[0] != 0.0:
             raise ControlError(f"times must start at 0, got {times[0]}")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):  # NaN too
             raise ControlError("times must be strictly increasing")
         if np.any(~np.isfinite(values)):
             raise ControlError("control values must be finite")

@@ -221,7 +221,7 @@ class Problem:
             jf = 0.0
         else:
             jf = self.rule.field(hj_junction.value_grid(self.model, self.u0, A, self.rule.mesh).u)
-        hj_junction.check_mesh(self.mesh, A)
+        hj_junction.check_times(self.mesh.ts, A)
         c = self.spec.linear_coeff
         return jf, c * integrate(A, 0.0, A.horizon) if c else 0.0
 

@@ -48,6 +48,7 @@ LEAST_AT_ZERO = "LeastAtZero"
 
 TIE_SCALE = 1e-14  # paths within TIE_SCALE (1 + |v|) of the value v tie: rounding only
 CONTROL_RANGE_TOL = 1e-9
+GRADIENT_TOL_STEPS = 3.0  # gradient_audit's tolerance, in mesh steps times the Lipschitz bound
 _BLOCK = 1 << 18  # node-by-lane elements per block of rows in the mesh walk
 
 
@@ -67,7 +68,7 @@ class Mesh:
         ts = np.asarray(self.ts, dtype=float)
         if xs.ndim != 1 or ts.ndim != 1 or len(xs) < 1 or len(ts) < 1:
             raise SolverError("mesh axes must be non-empty 1-d arrays")
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(ts) <= 0):
+        if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ts) > 0)):  # NaN too
             raise SolverError("mesh axes must be strictly increasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ts", ts)
@@ -379,17 +380,12 @@ def value(model, u0, A, x, t):
     return _selected(model, u0, A, x, t, MOST_AT_ZERO)
 
 
-def _check_times(ts, A: Control):
+def check_times(ts, A: Control):
     """Reject times past the control horizon or before 0."""
     if ts.size and ts.max() > A.horizon + 1e-12:
         raise SolverError(f"t = {ts.max()} beyond the control horizon {A.horizon}")
     if ts.size and not ts.min() >= 0.0:  # NaN too
         raise SolverError(f"times must be nonnegative, got {ts.min()}")
-
-
-def check_mesh(mesh: Mesh, A: Control):
-    """Reject a mesh that runs past the control horizon or has negative times."""
-    _check_times(mesh.ts, A)
 
 
 def _walk(ev: Evaluator, xs, ts, select=None):
@@ -398,7 +394,7 @@ def _walk(ev: Evaluator, xs, ts, select=None):
     block of rows goes to the Evaluator as broadcast (x, t) and holds about
     _BLOCK node-by-lane elements, the lanes being the wider of the trace
     segments and the pieces of G + I."""
-    _check_times(ts, ev.A)
+    check_times(ts, ev.A)
     fill = (np.nan,) if select is None else (False, np.nan, np.nan, np.nan)
     outs = [np.full((len(xs), len(ts)), f) for f in fill]
     live = np.flatnonzero(ts)
@@ -488,7 +484,7 @@ def junction_values(model, u0, A, ts):
     return _walk(Evaluator(model, u0, A), np.zeros(1), np.asarray(ts, dtype=float))[0][0]
 
 
-def gradient_audit(field: ValueField, model: JunctionModel, tol_factor: float = 3.0):
+def gradient_audit(field: ValueField, model: JunctionModel):
     """Check the discrete gradient bounds u_x in [-R, 0], u_t in [0, f_max].
 
     Difference quotients of the exact value satisfy the bounds with no
@@ -501,7 +497,7 @@ def gradient_audit(field: ValueField, model: JunctionModel, tol_factor: float = 
     if len(xs) > 1:
         dx = np.diff(xs)[:, None]
         qx = np.diff(u, axis=0) / dx
-        tol = tol_factor * float(np.max(np.diff(xs))) * lip
+        tol = GRADIENT_TOL_STEPS * float(np.max(np.diff(xs))) * lip
         r_of = np.where(
             xs[1:] <= 0,
             model.left.R,
@@ -513,7 +509,7 @@ def gradient_audit(field: ValueField, model: JunctionModel, tol_factor: float = 
     if len(ts) > 1:
         dt = np.diff(ts)[None, :]
         qt = np.diff(u, axis=1) / dt
-        tol = tol_factor * float(np.max(np.diff(ts))) * lip
+        tol = GRADIENT_TOL_STEPS * float(np.max(np.diff(ts))) * lip
         fmax = np.where(
             xs < 0,
             model.left.f_max,

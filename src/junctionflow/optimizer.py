@@ -1,18 +1,21 @@
 """Derivative-free search for minimizing flux limiters.
 
-Two routes share one coordinate descent (`_descend`): enumeration of
-bang-bang switch patterns, each from uniform switches with a golden section
-per switch time, and a relaxed cellwise baseline over [A0, 0]^m. Cost
+Both routes run one search (`_search`): coordinate descent from a list of
+start points under one evaluation budget. The bang-bang route starts each
+switch pattern from uniform switches and line-searches each switch time by
+golden section; the relaxed baseline over [A0, 0]^m starts from three
+constants and line-searches each cell by its levels or golden section. Cost
 evaluations go through a per-run cache keyed by the canonical control, since
 the value field is the expensive object.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -59,8 +62,6 @@ class OptimizeResult:
     evals: int
     history: Tuple[Tuple[int, float], ...]
     method: str
-    k: Optional[int] = None
-    start_value: Optional[float] = None
     budget_exhausted: bool = False
 
     def integrals(self):
@@ -83,11 +84,9 @@ class OptimizeResult:
             int_A=int_a,
             int_sA=int_sa,
         )
-        if self.k is not None:
-            out["k"] = self.k
-        if self.start_value is not None:
-            out["start_value"] = self.start_value
         if self.method == "bangbang":
+            out["k"] = len(self.control.times) - 2
+            out["start_value"] = self.control.values[0]
             out["switch_times"] = list(self.control.times[1:-1])
         return out
 
@@ -96,6 +95,8 @@ class _CostCache:
     """Caches J(A) per canonical control; counts distinct evaluations."""
 
     def __init__(self, model, u0, spec, mesh, budget):
+        if budget < MIN_BUDGET:
+            raise OptimizerError(f"budget must be >= {MIN_BUDGET} evaluations")
         self.problem = Problem(model, u0, spec, mesh)
         self.budget = budget
         self.cache = {}
@@ -118,6 +119,10 @@ class _CostCache:
             self.best = val
         self.history.append((self.evals, self.best))
         return val
+
+    def along(self, make, x, j):
+        """J as a function of coordinate j of x, the others held."""
+        return lambda xj: self(make([*x[:j], xj, *x[j + 1:]]))
 
 
 def _bangbang_control(T: float, start_value: float, other: float, switches) -> Control:
@@ -154,24 +159,34 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 20):
     return best, pts[best]
 
 
-def _descend(evalJ, x, val, line_min, sweeps):
-    """Coordinate descent from x with cost val: line_min(x, j) proposes a
-    (coordinate, cost) pair for x[j], kept when it beats val by more than
-    1e-14 (1 + |val|). Stops after `sweeps` sweeps, after a sweep that moves
-    nothing, or when the budget is spent; returns the final x and cost."""
-    for _ in range(sweeps):
-        improved = False
-        for j in range(len(x)):
-            if evalJ.exhausted:
+def _search(evalJ, runs, line_min, sweeps: int, method: str) -> OptimizeResult:
+    """Coordinate descent from each (x, make) of runs, make mapping x to its
+    Control: line_min(x, j, coord) proposes a (coordinate, cost) pair for x[j],
+    kept when it beats the cost by more than 1e-14 (1 + |cost|). A run stops
+    after `sweeps` sweeps or a sweep that moves nothing; the search stops when
+    the budget is spent, and returns the best control found."""
+    best = None
+    for x, make in runs:
+        val = evalJ(make(x))
+        for _ in range(sweeps):
+            improved = False
+            for j in range(len(x)):
+                if evalJ.exhausted:
+                    break
+                xj, vj = line_min(x, j, evalJ.along(make, x, j))
+                if vj < val - 1e-14 * (1.0 + abs(val)):
+                    x[j] = xj
+                    val = vj
+                    improved = True
+            if not improved or evalJ.exhausted:
                 break
-            xj, vj = line_min(x, j)
-            if vj < val - 1e-14 * (1.0 + abs(val)):
-                x[j] = xj
-                val = vj
-                improved = True
-        if not improved or evalJ.exhausted:
+        if best is None or val < best[0]:
+            best = (val, make(x))
+        if evalJ.exhausted:
             break
-    return x, val
+    val, ctrl = best
+    return OptimizeResult(ctrl, float(val), evalJ.evals, tuple(evalJ.history), method,
+                          evalJ.exhausted)
 
 
 def optimize_bangbang(model, u0, spec: CostSpec, T: float, k_max: int, budget: int,
@@ -185,47 +200,21 @@ def optimize_bangbang(model, u0, spec: CostSpec, T: float, k_max: int, budget: i
     """
     if k_max < 1:
         raise OptimizerError("k_max must be >= 1")
-    if budget < MIN_BUDGET:
-        raise OptimizerError(f"budget must be >= {MIN_BUDGET} evaluations")
     evalJ = _CostCache(model, u0, spec, mesh, budget)
     A0 = model.A0
     margin = SWITCH_MARGIN * T
 
-    best = None
-    for k, start in itertools.product(range(k_max + 1), (A0, 0.0)):
-        other = 0.0 if start == A0 else A0
+    def golden_in_bracket(s, j, coord):
+        lo = (s[j - 1] if j > 0 else 0.0) + margin
+        hi = (s[j + 1] if j + 1 < len(s) else T) - margin
+        if hi <= lo:
+            return s[j], math.inf
+        return _golden_min(coord, lo, hi)
 
-        def golden_in_bracket(s, j):
-            lo = (s[j - 1] if j > 0 else 0.0) + margin
-            hi = (s[j + 1] if j + 1 < len(s) else T) - margin
-            if hi <= lo:
-                return s[j], math.inf
-
-            def coord(x):
-                trial = list(s)
-                trial[j] = x
-                return evalJ(_bangbang_control(T, start, other, trial))
-
-            return _golden_min(coord, lo, hi)
-
-        s = [T * (i + 1) / (k + 1) for i in range(k)]
-        s, val = _descend(evalJ, s, evalJ(_bangbang_control(T, start, other, s)),
-                          golden_in_bracket, sweeps=3)
-        if best is None or val < best[0]:
-            best = (val, _bangbang_control(T, start, other, s))
-        if evalJ.exhausted:
-            break
-    val, ctrl = best
-    return OptimizeResult(
-        control=ctrl,
-        cost=float(val),
-        evals=evalJ.evals,
-        history=tuple(evalJ.history),
-        method="bangbang",
-        k=len(ctrl.times) - 2,
-        start_value=float(ctrl.values[0]),
-        budget_exhausted=evalJ.exhausted,
-    )
+    runs = (([T * (i + 1) / (k + 1) for i in range(k)],
+             functools.partial(_bangbang_control, T, start, 0.0 if start == A0 else A0))
+            for k, start in itertools.product(range(k_max + 1), (A0, 0.0)))
+    return _search(evalJ, runs, golden_in_bracket, 3, "bangbang")
 
 
 def optimize_relaxed(model, u0, spec: CostSpec, T: float, m_cells: int, budget: int,
@@ -239,20 +228,10 @@ def optimize_relaxed(model, u0, spec: CostSpec, T: float, m_cells: int, budget: 
     """
     if m_cells < 1:
         raise OptimizerError("m_cells must be >= 1")
-    if budget < MIN_BUDGET:
-        raise OptimizerError(f"budget must be >= {MIN_BUDGET} evaluations")
     evalJ = _CostCache(model, u0, spec, mesh, budget)
     A0 = model.A0
 
-    def make(vals):
-        return clamp_project(vals, A0, T)
-
-    def level_or_golden(vals, j):
-        def coord(x):
-            trial = vals.copy()
-            trial[j] = x
-            return evalJ(make(trial))
-
+    def level_or_golden(vals, j, coord):
         c_floor = coord(A0)
         c_zero = coord(0.0)
         xb, vb = _golden_min(coord, A0, 0.0, iters=14)
@@ -263,22 +242,9 @@ def optimize_relaxed(model, u0, spec: CostSpec, T: float, m_cells: int, budget: 
             return 0.0, c_zero
         return xb, vb
 
-    best = None
-    for start_vec in (np.full(m_cells, A0), np.zeros(m_cells), np.full(m_cells, A0 / 2.0)):
-        vals, val = _descend(evalJ, start_vec, evalJ(make(start_vec)), level_or_golden, sweeps=4)
-        if best is None or val < best[0]:
-            best = (val, make(vals))
-        if evalJ.exhausted:
-            break
-    val, ctrl = best
-    return OptimizeResult(
-        control=ctrl,
-        cost=float(val),
-        evals=evalJ.evals,
-        history=tuple(evalJ.history),
-        method="relaxed",
-        budget_exhausted=evalJ.exhausted,
-    )
+    make = functools.partial(clamp_project, A0=A0, T=T)
+    runs = ((np.full(m_cells, level), make) for level in (A0, 0.0, A0 / 2.0))
+    return _search(evalJ, runs, level_or_golden, 4, "relaxed")
 
 
 def pattern_extract(result: OptimizeResult, A0: float) -> Union[BangBangPattern, PatternRejection]:

@@ -22,6 +22,11 @@ class TestControl:
         with pytest.raises(ControlError):
             Control((0.0, 1.0), ())
 
+    def test_rejects_nan_times(self):
+        for times in ((0.0, np.nan, 6.0), (0.0, 6.0, np.nan)):
+            with pytest.raises(ControlError, match="strictly increasing"):
+                Control(times, (0.0, -0.25))
+
     def test_plain_floats(self):
         A = Control(np.array([0.0, 1.5, 6.0]), np.array([0.0, -0.25]))
         assert all(type(v) is float for v in A.times + A.values)

@@ -108,6 +108,11 @@ class TestValueGrid:
         f = value_grid(model, u0, switching, mesh)
         assert np.abs(f.u[:, 0] - u0.eval(mesh.xs)).max() == 0.0
 
+    def test_mesh_rejects_nan_axes(self):
+        for xs, ts in (([0.0, np.nan, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0, np.nan])):
+            with pytest.raises(SolverError, match="strictly increasing"):
+                Mesh(np.array(xs), np.array(ts))
+
 
 class TestMonotonicity:
     def test_pointwise_control_ordering(self, model, u0):

@@ -8,6 +8,7 @@ from junctionflow.optimizer import (
     OptimizeResult,
     OptimizerError,
     PatternRejection,
+    _CostCache,
     optimize_bangbang,
     optimize_relaxed,
     pattern_extract,
@@ -83,6 +84,20 @@ class TestBangBang:
     def test_canonical_box_run_stops_within_its_budget(self, box_run):
         assert not box_run.budget_exhausted
         assert box_run.evals < 260
+
+    def test_canonical_search_trace(self, model, u0, box_spec, functional_mesh, monkeypatch):
+        """The reproduce-prop511 search: the 41x161 box mesh, k_max 2, budget 260.
+        Pins its evaluations, its calls into the cost cache and its switch; a
+        line search on the exact derivative (ROADMAP item 3) moves these
+        numbers on purpose."""
+        calls = []
+        cached = _CostCache.__call__
+        monkeypatch.setattr(_CostCache, "__call__", lambda self, A: calls.append(A) or cached(self, A))
+        res = optimize_bangbang(model, u0, box_spec, T_HORIZON, 2, 260, functional_mesh)
+        assert res.evals == 174
+        assert len(calls) == 294
+        assert res.control.times[1:-1] == (1.3765765522217768,)
+        assert not res.budget_exhausted
 
     def test_validation(self, model, u0, box_spec, small_mesh):
         with pytest.raises(OptimizerError):
