@@ -127,7 +127,7 @@ def solve_cl(
     if np.any(rho[right_sel] < -1e-12) or np.any(rho[right_sel] > model.right.R + 1e-12):
         raise SolverError("initial density outside [0, R^R] on the right")
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0) or times[-1] > A.horizon + 1e-12:
+    if times[0] != 0.0 or not np.all(np.diff(times) > 0) or times[-1] > A.horizon + 1e-12:  # NaN too
         raise SolverError("snapshot times must start at 0, increase, and stay in [0, T]")
 
     dx = np.diff(faces)

@@ -184,7 +184,7 @@ class _Builder:
         n = len(self.problems)
         xmin, xmax, tmax = (self.entry(f"mesh.{k}", _MISSING, float) for k in ("xmin", "xmax", "tmax"))
         nx, nt = (self.entry(f"mesh.{k}", _MISSING, int, 1) for k in ("nx", "nt"))
-        tmin = self.entry("mesh.tmin", 0.0, float)
+        tmin = self.entry("mesh.tmin", 0.0, float, 0.0)  # u is defined for t >= 0 only
         return self.make("mesh", n, Mesh.regular, xmin, xmax, nx, tmax, nt, tmin=tmin)
 
     def spec(self, mesh) -> Optional[CostSpec]:

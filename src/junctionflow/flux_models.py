@@ -370,8 +370,8 @@ class InitialData:
         object.__setattr__(self, "slopes", slopes)
         if len(slopes) != len(bps) + 1:
             raise ModelError("need exactly len(breakpoints)+1 slopes")
-        if len(bps) >= 2 and np.any(np.diff(bps) <= 0):
-            raise ModelError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(bps)) and np.all(np.diff(bps) > 0)):
+            raise ModelError("breakpoints must be finite and strictly increasing")
         rl, rr = self.capacities
         edges = (-np.inf,) + bps + (np.inf,)
         for i, q in enumerate(slopes):

@@ -164,21 +164,15 @@ class Rule:
     phi and the full mesh's weights there. Every other node adds an exact
     zero, and the one sum adds the terms one after another in mesh order, as
     the full-mesh sum does on up to 8,192 nodes (numpy's buffer size), so
-    there it is bitwise that sum. Rule(phi_vals, mesh) skips the edge check of
-    Rule.of: the audit's every-other-node mesh can end on a row where phi lives.
+    there it is bitwise that sum. phi must vanish on the mesh edge.
     """
 
     def __init__(self, phi_vals: np.ndarray, mesh: Mesh):
+        _check_support(phi_vals)
         self.rows, self.cols = np.flatnonzero(phi_vals.any(axis=1)), np.flatnonzero(phi_vals.any(axis=0))
         self.mesh = Mesh(mesh.xs[self.rows], mesh.ts[self.cols]) if self.rows.size else None
         self.phi = phi_vals[np.ix_(self.rows, self.cols)]
         self.wx, self.wt = _trapezoid_weights(mesh.xs)[self.rows], _trapezoid_weights(mesh.ts)[self.cols]
-
-    @classmethod
-    def of(cls, phi_vals: np.ndarray, mesh: Mesh) -> "Rule":
-        """The rule of phi on mesh, after checking that phi vanishes on the mesh edge."""
-        _check_support(phi_vals)
-        return cls(phi_vals, mesh)
 
     def _sum(self, phi, values):
         return np.einsum("i,j,ij,ij...->...", self.wx, self.wt, phi, values)
@@ -213,7 +207,7 @@ class Problem:
 
     def __init__(self, model, u0, spec: CostSpec, mesh: Mesh):
         self.model, self.u0, self.spec, self.mesh = model, u0, spec, mesh
-        self.rule = Rule.of(spec.weight.phi_grid(mesh), mesh)
+        self.rule = Rule(spec.weight.phi_grid(mesh), mesh)
 
     def _terms(self, A: Control):
         if self.rule.mesh is None:

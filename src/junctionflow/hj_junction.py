@@ -450,7 +450,7 @@ def brute_force_field(model, u0, A, t, lattice=(200, 200), *, domain):
     nx, nt = lattice
     if nx < 8 or nt < 8:
         raise SolverError("lattice must be at least 8x8")
-    if t <= 0 or t > A.horizon + 1e-12:
+    if not 0 < t <= A.horizon + 1e-12:  # NaN too
         raise SolverError(f"t = {t} outside (0, {A.horizon}]")
     if not domain[0] < 0.0 < domain[1]:
         raise SolverError(f"DP domain ({domain[0]}, {domain[1]}) must contain x = 0 in its interior")

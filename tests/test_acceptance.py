@@ -192,7 +192,7 @@ def test_criterion_09_optimality_audit(model, u0, box_spec, functional_mesh, bb_
     from junctionflow import trajectory_field, MOST_AT_ZERO
 
     tf = trajectory_field(model, u0, bb_result.control, functional_mesh, MOST_AT_ZERO)
-    hs = _dwell_measures(Rule.of(box_spec.weight.phi_grid(functional_mesh), functional_mesh), tf, ss)
+    hs = _dwell_measures(Rule(box_spec.weight.phi_grid(functional_mesh), functional_mesh), tf, ss)
     noise = audit.tolerances["tol_opt"]
     monotone = all(hs[i + 1] <= hs[i] + noise for i in range(len(hs) - 1))
     nonneg = min(hs) >= -noise

@@ -143,6 +143,12 @@ class TestSolveCL:
             solve_cl(model, np.zeros(10), faces, Control((0.0, 1.0), (0.0,)),
                      np.array([0.0, 1.0]), cfl=1.5)
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan]])
+    def test_nan_snapshot_time_raises(self, model, times):
+        faces = make_grid(-1.0, 1.0, 10)
+        with pytest.raises(SolverError, match="snapshot times"):
+            solve_cl(model, np.zeros(10), faces, Control((0.0, 1.0), (0.0,)), np.array(times))
+
 
 def face_march(model, rho, faces, A, times, cfl=0.9):
     """solve_cl's march as it was built face by face on godunov_flux and

@@ -176,6 +176,19 @@ class TestRunOptions:
         assert "J(" not in out
         assert not any((tmp_path / "o").iterdir())
 
+    @pytest.mark.parametrize("command", ["solve", "cost", "optimize", "audit", "reproduce-prop511"])
+    def test_mesh_before_t_0_exits_2(self, tmp_path, capsys, command):
+        base = {"reproduce-prop511": {}, "solve": solve_config()}.get(
+            command, dict(solve_config(tmax=6.0), **CANONICAL_BOX_AND_MESH))
+        if command == "optimize":
+            base["optimizer"] = dict(method="bangbang", k_max=1, budget=60, horizon=6.0)
+        base = copy.deepcopy(base)
+        base.setdefault("mesh", {})["tmin"] = -1.0
+        path = write_config(tmp_path, base)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: config entry [mesh.tmin] must be at least 0.0, got -1.0" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
+
     def test_crosscheck_cells_too_narrow_exit_2(self, tmp_path, capsys):
         cfg = dict(solve_config(), crosscheck=dict(xmin=-1e-300, xmax=1e-300, cells=2))
         path = write_config(tmp_path, cfg)

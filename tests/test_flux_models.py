@@ -266,6 +266,11 @@ class TestInitialData:
         with pytest.raises(ModelError):
             InitialData((0.0,), (-1.5, -0.5), capacities=(1.0, 2.0))
 
+    @pytest.mark.parametrize("bps", [(np.nan,), (0.5, np.nan), (-np.inf, 0.5)])
+    def test_rejects_non_finite_breakpoints(self, bps):
+        with pytest.raises(ModelError, match="strictly increasing"):
+            InitialData(bps, (-0.5,) * (len(bps) + 1), capacities=(1.0, 1.0))
+
     def test_from_samples_roundtrip(self):
         xs = np.linspace(-2.0, 2.0, 41)
         us = -0.8 * xs + 0.3

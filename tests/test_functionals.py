@@ -200,7 +200,7 @@ class TestSupportSubMesh:
         phi = spec.weight.phi_grid(SUPPORT_MESH)
         s = default_s_samples(A.horizon, A, n=16)
         ref = [dwell_measure_reference(phi, SUPPORT_MESH, tf, v) for v in s]
-        assert np.array_equal(_dwell_measures(Rule.of(phi, SUPPORT_MESH), tf, s), ref)
+        assert np.array_equal(_dwell_measures(Rule(phi, SUPPORT_MESH), tf, s), ref)
 
     @given(case=st.integers(0, len(SUPPORT_CASES) - 1), seed=st.integers(0, 2**32 - 1),
            cells=st.integers(1, 5), rows=st.tuples(st.integers(1, 23), st.integers(0, 4)),

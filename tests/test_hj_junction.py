@@ -720,6 +720,13 @@ class TestDPOracle:
         with pytest.raises(SolverError, match="DP domain"):
             brute_force_field(model, u0, A, 1.0, (40, 40), domain=domain)
 
+    @pytest.mark.parametrize("t", [np.nan, 0.0, T_HORIZON + 1e-9])
+    def test_time_must_lie_in_the_horizon(self, t):
+        model, u0 = canonical_case()
+        A = Control((0.0, T_HORIZON), (model.A0,))
+        with pytest.raises(SolverError, match="outside"):
+            brute_force_field(model, u0, A, t, (40, 40), domain=(-5.0, 5.0))
+
     def test_default_domain_is_the_point_rule_at_zero(self):
         # the field takes no default domain; brute_force_value at x = 0 spans _dp_domain's
         model, u0 = asym_case()

@@ -5,6 +5,7 @@ from junctionflow import (Control, InitialData, JunctionModel, LEAST_AT_ZERO, MO
                           junction_values, optimality, trajectory_field)
 from junctionflow.functionals import CostSpec, Rule, SampledWeight, cost
 from junctionflow.optimality import check_optimality, component_report, default_s_samples
+from junctionflow.optimizer import optimize_bangbang
 
 from conftest import TAB, T_HORIZON, asym_case, dwell_measure_reference, random_control
 
@@ -28,20 +29,20 @@ class TestDwellMeasure:
         s = default_s_samples(T_HORIZON, A)
         ref = [dwell_measure_reference(phi, functional_mesh, tf, v) for v in s]
         assert np.count_nonzero(ref) > 20
-        rule = Rule.of(phi, functional_mesh)
+        rule = Rule(phi, functional_mesh)
         assert np.array_equal(optimality._dwell_measures(rule, tf, s), ref)
 
     def test_zero_weight(self, model, u0, switching, functional_mesh):
         spec = CostSpec(SampledWeight(functional_mesh.xs, functional_mesh.ts,
                                       np.zeros((len(functional_mesh.xs), len(functional_mesh.ts)))))
-        rule = Rule.of(spec.weight.phi_grid(functional_mesh), functional_mesh)
+        rule = Rule(spec.weight.phi_grid(functional_mesh), functional_mesh)
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         assert optimality._dwell_measures(rule, tf, [1.0]) == 0.0
         ss = default_s_samples(T_HORIZON, switching, n=8)  # the empty support: zeros, no raise
         assert optimality._dwell_measures(rule, tf, ss).tolist() == [0.0] * 8
 
     def test_beyond_support_is_zero(self, model, u0, switching, box_spec, functional_mesh):
-        rule = Rule.of(box_spec.weight.phi_grid(functional_mesh), functional_mesh)
+        rule = Rule(box_spec.weight.phi_grid(functional_mesh), functional_mesh)
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         assert optimality._dwell_measures(rule, tf, [5.05]) == 0.0
 
@@ -50,7 +51,7 @@ class TestDwellMeasure:
         # on (s_bar_minus, tau) = (0, t2) for the canonical switching control
         tf = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         ss = np.linspace(0.15, 1.35, 9)
-        rule = Rule.of(box_spec.weight.phi_grid(functional_mesh), functional_mesh)
+        rule = Rule(box_spec.weight.phi_grid(functional_mesh), functional_mesh)
         vals = optimality._dwell_measures(rule, tf, ss)
         tol = 2e-3
         assert min(vals) >= -tol
@@ -58,8 +59,8 @@ class TestDwellMeasure:
 
     def test_most_dominates_least_for_nonnegative_weight(self, model, u0, switching,
                                                          box, functional_mesh):
-        rule = Rule.of(clipped_spec(box, functional_mesh, +1).weight.phi_grid(functional_mesh),
-                       functional_mesh)
+        rule = Rule(clipped_spec(box, functional_mesh, +1).weight.phi_grid(functional_mesh),
+                    functional_mesh)
         tfp = trajectory_field(model, u0, switching, functional_mesh, MOST_AT_ZERO)
         tfm = trajectory_field(model, u0, switching, functional_mesh, LEAST_AT_ZERO)
         ss = (0.3, 0.9, 1.2, 1.45)
@@ -95,7 +96,7 @@ class TestCellDerivatives:
         with the LeastAtZero paths. Both equal one-sided difference quotients of J."""
         model, u0, A = danskin_case(case, model, u0)
         mesh, h = functional_mesh, 1e-7
-        rule = Rule.of(box_spec.weight.phi_grid(mesh), mesh)
+        rule = Rule(box_spec.weight.phi_grid(mesh), mesh)
         c0, c1 = np.asarray(A.times[:-1]), np.asarray(A.times[1:])
         J = cost(model, u0, box_spec, A, mesh)
         for select, sign in ((MOST_AT_ZERO, 1.0), (LEAST_AT_ZERO, -1.0)):
@@ -138,7 +139,7 @@ def verdicts_reference(audit, model, spec):
 
 class TestCheckOptimality:
     def test_even_mesh_with_the_box_on_its_edge(self, model, u0, switching, box_spec):
-        # the coarsened error estimate's last row is the mesh's last but one, where phi lives
+        # phi lives on the mesh's last row but one, next to the edge the rule checks
         mesh = Mesh.regular(0.08, 0.18, 40, 5.1, 160, tmin=0.9)
         assert box_spec.weight.phi_grid(mesh)[-2].any()
         assert check_optimality(model, u0, switching, box_spec, mesh).ok
@@ -212,6 +213,28 @@ class TestCheckOptimality:
         audit = check_optimality(model, u0, bad, box_spec, functional_mesh,
                                  s_samples=np.linspace(0.2, 5.8, 24))
         assert audit.violations > 0
+
+
+class TestSharpAudit:
+    """D+- are the exact one-sided derivatives of the discrete J, so the audit
+    holds them to the rounding of the rule's sum. A switch from 0 to A0 past
+    the optimal plateau fails it; on the plateau H+ is exactly 0 wherever A can
+    be raised. Switches at tau <= 1.3 and free flow still pass: the conditions
+    on D do not see that side until the audit checks the derivative of J in
+    the switch time (ROADMAP item 9)."""
+
+    @pytest.mark.parametrize("tau,violated", [(1.3765765522217768, False), (1.5, False),
+                                              (1.75, False), (1.76, True), (1.8, True)])
+    def test_switches_past_the_plateau_fail(self, model, u0, box_spec, functional_mesh, tau, violated):
+        A = Control((0.0, tau, T_HORIZON), (0.0, model.A0))
+        audit = check_optimality(model, u0, A, box_spec, functional_mesh)
+        assert audit.tolerances["tol_opt"] < 1e-11
+        assert (audit.violations > 0) == violated
+
+    def test_the_optimized_switch_passes(self, model, u0, box_spec):
+        mesh = Mesh.regular(0.08, 0.2, 21, 5.1, 81, tmin=0.9)  # the benchmark's prop511 setup
+        res = optimize_bangbang(model, u0, box_spec, T_HORIZON, 1, 260, mesh)
+        assert check_optimality(model, u0, res.control, box_spec, mesh).violations == 0
 
 
 def components_reference(ts, gap, theta):
