@@ -294,15 +294,20 @@ class JunctionModel:
     def own_side(self, f, side, dx, dt, at_zero=0.0):
         """f(H, dx, dt) with the H of each lane's own side: the left where
         side < 0, the right where side > 0, at_zero where side is 0. An
-        at_zero array of the lanes' shape is filled in place and returned."""
-        side, dx, dt = np.broadcast_arrays(side, dx, dt)
+        at_zero array of the lanes' shape is filled in place and returned.
+        Each side is tested on side before it is broadcast: lanes all on one
+        side are priced with no gather, and a side with no lane is not priced."""
+        side = np.asarray(side)
         sides = ((self.left, side < 0), (self.right, side > 0))
         for H, on in sides:
             if on.all():  # one side: no gather
                 return f(H, dx, dt)
+        side, dx, dt = np.broadcast_arrays(side, dx, dt)
         out = at_zero if np.shape(at_zero) == side.shape else np.full(side.shape, at_zero)
         for H, on in sides:
-            out[on] = f(H, dx[on], dt[on])
+            if on.any():
+                on = np.broadcast_to(on, side.shape)
+                out[on] = f(H, dx[on], dt[on])
         return out
 
     def speed(self, side, h, inward):

@@ -28,7 +28,11 @@ segment's end only where exits at full speed cost a constant (an A = 0
 hold), and a piece's stationary point, clipped to the piece.
 
 Every mesh output goes through one walk (_walk) over blocks of mesh rows
-(times) that hold every column; rows at t = 0 hold the datum.
+(times), each block evaluated once per side of the junction, on its columns
+x < 0, x = 0 and x > 0; rows at t = 0 hold the datum. The node-by-lane
+kernels (lanes: trace segments or pieces of G + I) put the lanes on the
+leading axis, so each minimum or maximum over lanes runs across whole rows
+of nodes.
 """
 
 from __future__ import annotations
@@ -162,10 +166,11 @@ class Evaluator:
         return best.reshape(shape), ybest.reshape(shape)
 
     def straight_value(self, x, t, need_y=False):
-        """F1: cheapest one-sided straight leg into (x, t)."""
+        """F1: cheapest one-sided straight leg into (x, t); a side that holds
+        no node is not priced."""
         x = np.asarray(x, dtype=float)
-        vl, yl = self._side_min(-1, x, t, need_y)
-        vr, yr = self._side_min(1, x, t, need_y)
+        vl, yl = self._side_min(-1, x, t, need_y) if (x <= 0).any() else (np.inf, np.nan)
+        vr, yr = self._side_min(1, x, t, need_y) if (x >= 0).any() else (np.inf, np.nan)
         x_b = np.broadcast_arrays(x, np.asarray(t, dtype=float))[0]
         vl = np.where(x_b <= 0, vl, np.inf)
         vr = np.where(x_b >= 0, vr, np.inf)
@@ -274,7 +279,9 @@ class Evaluator:
     # ---- dwell family --------------------------------------------------------
 
     def _stay_ends(self, x, t):
-        """Cheapest stay end b per node and trace segment (last axis), and its path cost.
+        """Cheapest stay end b per trace segment and node, and its path cost,
+        shaped (segments, *nodes): the segments lead, the nodes being the
+        broadcast (x, t).
 
         On an affine segment of slope v the exit is stationary where its slope
         p solves H(p) = -v on the branch of the exit direction, so
@@ -282,17 +289,18 @@ class Evaluator:
         after t cost inf.
         """
         S = self._seg
-        with np.errstate(invalid="ignore"):
-            s = np.where(x == 0, 0.0, np.abs(x) * np.where(x < 0, *S["lag"]))
-        b = np.clip(t - s, S["lo"], np.minimum(S["hi"], t))
+        lanes = (slice(None),) + (None,) * max(np.ndim(x), np.ndim(t))
+        with np.errstate(invalid="ignore"):  # x is not broadcast against t: s keeps x's size
+            s = np.where(x == 0, 0.0, np.abs(x) * np.where(x < 0, *(g[lanes] for g in S["lag"])))
+        b = np.clip(t - s, S["lo"][lanes], np.minimum(S["hi"][lanes], t))
         if self._fans:
-            b[..., S["side"] != 0] = self._fan_ends(x, t)
-        cost = self._piece(S, slice(None), b) + self.exit_cost(x, t, b)
-        return b, np.where(S["lo"] <= t, cost, np.inf)
+            b[S["side"] != 0] = np.moveaxis(self._fan_ends(x[..., None], t[..., None]), -1, 0)
+        cost = self._piece(S, lanes, b) + self.exit_cost(x, t, b)
+        return b, np.where(S["lo"][lanes] <= t, cost, np.inf)
 
     def dwell_batch(self, x, t):
         """min over 0 <= a <= b <= t of the dwell-path cost at the broadcast nodes (x, t)."""
-        return self._stay_ends(x[..., None], t[..., None])[1].min(axis=-1)
+        return np.minimum.reduce(self._stay_ends(x, t)[1], axis=0)
 
     def _dwell_start(self, a):
         """Dwell starts a, first-leg starts y and approach costs G(a); a dwell that
@@ -321,15 +329,18 @@ class Evaluator:
         nodes. The nodes are a block of grid rows or scattered points; the
         results are flat per-node arrays in the broadcast's C order:
         (is_dwell, a, b, value), a and b NaN on straight paths, then the
-        selected path's first-leg start y and cost.
+        selected path's first-leg start y and cost. The segment-by-node and
+        piece-by-node arrays hold the lanes on axis 0 and are reduced there;
+        the index of the latest tied segment is searched only at nodes where
+        no piece of G + I ties, whose a falls back on that segment's own start.
         """
         if select not in (MOST_AT_ZERO, LEAST_AT_ZERO):
             raise SolverError(f"unknown selector {select!r}")
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         x, t = x.ravel(), t.ravel()
         f1, y1 = self.straight_value(x, t, need_y=True)
-        b, cost = self._stay_ends(x[:, None], t[:, None])
-        vd = cost.min(axis=1)
+        b, cost = self._stay_ends(x, t)
+        vd = np.minimum.reduce(cost, axis=0)
         v = np.minimum(f1, vd)
         thresh = v + TIE_SCALE * (1.0 + np.abs(v))
         most = select == MOST_AT_ZERO
@@ -338,25 +349,27 @@ class Evaluator:
         k = np.flatnonzero(use_dwell)  # straight nodes keep (nan, nan, y1, f1)
         if not k.size:
             return use_dwell, a_out, b_out, v, y1, f1
-        S, P = self._seg, self._phi
+        S, P, lanes = self._seg, self._phi, (slice(None), None)
         x, t, thresh = x[k], t[k], thresh[k]
         # b: the latest stay end of the tied segments; on an affine segment of slope 0
         # off the fans (an A = 0 hold) exits at full speed cost a constant, so its stay
         # ends run on to the segment's end, before t where exits take time
-        end = np.minimum(S["hi"], np.where(x == 0, t, np.nextafter(t, -np.inf))[:, None])
-        flat = (S["v"] == 0) & (S["side"] == 0)
-        ends = np.where(cost[k] <= thresh[:, None], np.where(flat, end, b[k]), -np.inf)
-        del b, cost  # node-by-segment arrays of every node
-        j = np.argmax(ends, axis=1)
-        b_sel = ends[np.arange(len(k)), j]
+        end = np.minimum(S["hi"][lanes], np.where(x == 0, t, np.nextafter(t, -np.inf)))
+        flat = ((S["v"] == 0) & (S["side"] == 0))[lanes]
+        ends = np.where(cost[:, k] <= thresh, np.where(flat, end, b[:, k]), -np.inf)
+        del b, cost  # segment-by-node arrays of every node
+        b_sel = np.maximum.reduce(ends, axis=0)
         # a: the extreme minimizer of the tied pieces of G + I on [lo, min(hi, b)]
         psi = self.exit_cost(x, t, b_sel) - self.A.cumulative(b_sel)
-        good = np.clip(P["arg"], P["lo"], np.minimum(P["hi"], b_sel[:, None]))
-        tied = (P["lo"] <= b_sel[:, None]) & (self._piece(P, slice(None), good) <= (thresh - psi)[:, None])
-        a_sel = (np.where(tied, good, np.inf).min(axis=1) if most
-                 else np.where(tied, good, -np.inf).max(axis=1))
-        a_fb = np.fmin(S["a"][j], b_sel)  # the start of the segment's own path
-        a_sel, y, g = self._dwell_start(np.where(np.isfinite(a_sel), a_sel, a_fb))
+        good = np.clip(P["arg"][lanes], P["lo"][lanes], np.minimum(P["hi"][lanes], b_sel))
+        tied = (P["lo"][lanes] <= b_sel) & (self._piece(P, lanes, good) <= thresh - psi)
+        a_sel = (np.minimum.reduce(np.where(tied, good, np.inf), axis=0) if most
+                 else np.maximum.reduce(np.where(tied, good, -np.inf), axis=0))
+        fb = np.flatnonzero(~np.isfinite(a_sel))  # no piece ties: the start of the segment's own path
+        if fb.size:
+            j = np.argmax(ends[:, fb], axis=0)
+            a_sel[fb] = np.fmin(S["a"][j], b_sel[fb])
+        a_sel, y, g = self._dwell_start(a_sel)
         a_out[k], b_out[k], y1[k], f1[k] = a_sel, b_sel, y, g + self.A.cumulative(a_sel) + psi
         return use_dwell, a_out, b_out, v, y1, f1
 
@@ -391,9 +404,11 @@ def check_times(ts, A: Control):
 def _walk(ev: Evaluator, xs, ts, select=None):
     """The value u (select None) or selection's (is_dwell, a, b, value) at the
     nodes (xs[i], ts[j]), 0 <= ts[j] <= T, as (len(xs), len(ts)) arrays. Each
-    block of rows goes to the Evaluator as broadcast (x, t) and holds about
-    _BLOCK node-by-lane elements, the lanes being the wider of the trace
-    segments and the pieces of G + I."""
+    block of rows holds about _BLOCK node-by-lane elements, the lanes being
+    the wider of the trace segments and the pieces of G + I. It goes to the
+    Evaluator as broadcast (x, t) once per side of the junction that holds
+    columns: x < 0, x = 0 and x > 0, so that every exit leg is priced by one
+    Hamiltonian and the straight family by the sides that hold nodes."""
     check_times(ts, ev.A)
     fill = (np.nan,) if select is None else (False, np.nan, np.nan, np.nan)
     outs = [np.full((len(xs), len(ts)), f) for f in fill]
@@ -401,15 +416,19 @@ def _walk(ev: Evaluator, xs, ts, select=None):
     if len(live) < len(ts):  # rows at t = 0 hold the datum
         outs[-1][:, ts == 0.0] = np.asarray(ev.u0.eval(xs), dtype=float)[:, None]
     step = max(1, _BLOCK // (len(xs) * max(len(ev._seg["lo"]), len(ev._phi["lo"]))))
+    zl, zr = np.searchsorted(xs, 0.0, side="left"), np.searchsorted(xs, 0.0, side="right")
+    sides = [c for c in (slice(0, zl), slice(zl, zr), slice(zr, len(xs))) if c.start < c.stop]
     for lo in range(0, len(live), step):
         r = live[lo : lo + step]
-        x, t = xs[None, :], ts[r, None]
-        if select is None:
-            res = (np.minimum(ev.straight_value(x, t)[0], ev.dwell_batch(x, t)),)
-        else:
-            res = ev.selection(x, t, select)
-        for out, v in zip(outs, res):
-            out[:, r] = v.reshape(len(r), len(xs)).T
+        t = ts[r, None]
+        for c in sides:
+            x = xs[None, c]
+            if select is None:
+                res = (np.minimum(ev.straight_value(x, t)[0], ev.dwell_batch(x, t)),)
+            else:
+                res = ev.selection(x, t, select)
+            for out, v in zip(outs, res):
+                out[c, r] = v.reshape(len(r), -1).T
     return outs
 
 

@@ -537,7 +537,7 @@ class TestBandEdges:
         t = rng.uniform(0.05, T_HORIZON, 24)
         got = {sel: ev.selection(x, t, sel) for sel in (MOST_AT_ZERO, LEAST_AT_ZERO)}
         S = ev._seg
-        stay, cost = ev._stay_ends(x[:, None], t[:, None])
+        stay, cost = (z.T for z in ev._stay_ends(x, t))  # node-major: stay[k], cost[k]
         hold_end = np.minimum(S["hi"], np.where(x == 0, t, np.nextafter(t, -np.inf))[:, None])
         hold = (S["v"] == 0) & (S["side"] == 0)
         for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
@@ -554,6 +554,47 @@ class TestBandEdges:
         assert np.all(most_dwell[least_dwell])  # LeastAtZero dwells only where no straight path ties
         assert np.array_equal(b_most[least_dwell], b_least[least_dwell])
         assert np.all(a_most[least_dwell] <= a_least[least_dwell])
+
+
+# ---- the walk, one side of the junction at a time ----------------------------------
+
+
+class TestSideWalk:
+    @pytest.mark.parametrize("zero_column", [True, False], ids=["zero-column", "no-zero-column"])
+    @pytest.mark.parametrize("case", ["symmetric", "asymq", "tabulated", "symmetric-convex-kinks"])
+    def test_mesh_is_its_sides_side_by_side(self, case, zero_column):
+        """On columns that straddle x = 0, value_grid and both trajectory
+        fields are bitwise those of the left, zero and right column sub-meshes."""
+        model, u0 = EDGE_CASES[case]()
+        xs = np.linspace(-1.5, 1.5, 13) if zero_column else np.linspace(-1.45, 1.55, 13)
+        assert (0.0 in xs) == zero_column
+        mesh = Mesh(xs, np.linspace(0.0, T_HORIZON, 25))
+        parts = [Mesh(xs[on], mesh.ts) for on in (xs < 0, xs == 0, xs > 0) if on.any()]
+        rng = np.random.default_rng(73)
+        for cells in (1, 3, 5):
+            A = random_control(rng, model.A0, cells=cells)
+            got = {"u": value_grid(model, u0, A, mesh).u}
+            sides = {"u": np.concatenate([value_grid(model, u0, A, m).u for m in parts])}
+            for sel in (MOST_AT_ZERO, LEAST_AT_ZERO):
+                got.update({(sel, k): v for k, v in trajectory_field(model, u0, A, mesh, sel).items()})
+                fields = [trajectory_field(model, u0, A, m, sel) for m in parts]
+                sides.update({(sel, k): np.concatenate([f[k] for f in fields]) for k in fields[0]})
+            assert got.keys() == sides.keys()
+            for key, v in got.items():
+                assert v.tobytes() == sides[key].tobytes(), (cells, key)
+
+    @pytest.mark.parametrize("case", ["symmetric", "asymq", "tabulated", "symmetric-convex-kinks"])
+    def test_dwell_value_reduces_over_leading_segments(self, case):
+        model, u0 = EDGE_CASES[case]()
+        rng = np.random.default_rng(74)
+        ev = Evaluator(model, u0, random_control(rng, model.A0, cells=4))
+        lanes = len(ev._seg["lo"])
+        x = np.where(rng.random(40) < 0.15, 0.0, rng.uniform(-1.5, 1.5, 40))
+        t = rng.uniform(0.05, T_HORIZON, 40)
+        for xb, tb in [(x, t), (x[None, :], t[:30, None])]:
+            b, cost = ev._stay_ends(xb, tb)
+            assert b.shape == cost.shape == (lanes, *np.broadcast_shapes(xb.shape, tb.shape))
+            assert ev.dwell_batch(xb, tb).tobytes() == np.minimum.reduce(cost, axis=0).tobytes()
 
 
 # ---- the kink-fan level ------------------------------------------------------------
