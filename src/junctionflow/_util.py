@@ -1,9 +1,14 @@
-"""Small shared helpers: the one CSV writer, a sorted dedupe and an
-order-preserving map that only the benchmark's tracer names."""
+"""Small shared helpers: the evaluators' error type SolverError, the one
+CSV writer, a sorted dedupe and an order-preserving map that only the
+benchmark's tracer names."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class SolverError(ValueError):
+    """Evaluation outside the contract (bad times, meshes, controls)."""
 
 
 # No caller: kept only because the benchmark's tracer wraps it by name at install.

@@ -1,14 +1,16 @@
-"""Kernels of the lattice dynamic-programming oracle (hj_junction.brute_force_field).
+"""The lattice dynamic-programming oracle (brute_force_field) and its kernels.
 
 The oracle shares nothing with the exact evaluator but the Hamiltonians'
-leg costs: a backward step over interpolated lattice paths on each side,
-and one exact straight exit leg from the junction node's own trace.
+leg costs: a backward step over interpolated lattice paths on each side
+(_dp_side_step), and one exact straight exit leg from the junction node's
+own trace (_exit_legs), on a lattice span that _dp_domain can size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._util import SolverError, sorted_unique
 from .flux_models import Hamiltonian
 
 _EXIT_BLOCK = 1 << 15  # node-by-column elements per block of nodes in _exit_legs
@@ -97,3 +99,52 @@ def _dp_domain(model, t, x=0.0):
     reach_l = max(model.left.dh0, model.right.dh0)
     reach_r = max(-model.left.dhr, -model.right.dhr)
     return (min(0.0, x) - 1.05 * reach_l * t, max(0.0, x) + 1.05 * reach_r * t)
+
+
+def brute_force_field(model, u0, A, t, lattice=(200, 200), *, domain):
+    """DP oracle on the whole lattice: (nodes, times, V), V[i, k] ~ u(nodes[i], times[k]).
+
+    Paths are piecewise linear with vertices at lattice times, positions
+    interpolated between lattice abscissae; they change sign only through
+    the zero node, where parking costs -integral(A). A path may also end on
+    one exact straight exit leg from the zero node: every node x != 0 takes
+    the cheaper of its lattice value and min over earlier lattice times t_j
+    of V(0, t_j) + leg(x, t - t_j), read from the DP's own junction trace
+    (Lax-Hopf with an internal boundary condition), so long exit legs are
+    not chained through interpolated steps. First-order accurate: the error
+    left is the linear interpolation of the value between abscissae.
+    domain must hold x = 0 in its interior. Node x keeps every path whose
+    legs move at characteristic speeds where the domain holds
+    _dp_domain(model, t, x); nearer the domain's ends paths are
+    cut, so values there can lie above u by more than the first-order error.
+    """
+    nx, nt = lattice
+    if nx < 8 or nt < 8:
+        raise SolverError("lattice must be at least 8x8")
+    if not 0 < t <= A.horizon + 1e-12:  # NaN too
+        raise SolverError(f"t = {t} outside (0, {A.horizon}]")
+    if not domain[0] < 0.0 < domain[1]:
+        raise SolverError(f"DP domain ({domain[0]}, {domain[1]}) must contain x = 0 in its interior")
+    Hl, Hr = model.left, model.right
+    nodes = sorted_unique(np.concatenate([np.linspace(domain[0], domain[1], nx), [0.0]]))
+    iz = int(np.searchsorted(nodes, 0.0))
+    ts = np.linspace(0.0, t, nt + 1)
+    dt = ts[1] - ts[0]
+    V = np.asarray(u0.eval(nodes), dtype=float)
+    out = np.empty((len(nodes), nt + 1))
+    out[:, 0] = V
+    step_l, step_r = _dp_side_step(Hl, nodes[: iz + 1], dt), _dp_side_step(Hr, nodes[iz:], dt)
+    cum = A.cumulative(ts)  # parking on [ts[k], ts[k + 1]] costs -(cum[k + 1] - cum[k])
+    for k in range(nt):
+        vl = step_l(V[: iz + 1])
+        vr = step_r(V[iz:])
+        new = np.empty_like(V)
+        new[:iz] = vl[:-1]
+        new[iz + 1 :] = vr[1:]
+        new[iz] = min(vl[-1], vr[0], V[iz] - (cum[k + 1] - cum[k]))
+        V = new
+        out[:, k + 1] = V
+    # one exact straight exit leg from the junction node, on the DP's own trace
+    out[:iz] = np.minimum(out[:iz], _exit_legs(Hl, nodes[:iz], ts, out[iz]))
+    out[iz + 1 :] = np.minimum(out[iz + 1 :], _exit_legs(Hr, nodes[iz + 1 :], ts, out[iz]))
+    return nodes, ts, out

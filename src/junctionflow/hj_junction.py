@@ -1,4 +1,5 @@
-"""Junction Hamilton-Jacobi value function via straight / dwell path families.
+"""Exact evaluator of the junction Hamilton-Jacobi value function and its field
+checks (check_times, gradient_audit); the lattice DP oracle lives in dp_oracle.
 
 The value u^A(x, t) is the infimum of the path cost over two families that
 exhaust the minimizers:
@@ -30,9 +31,9 @@ hold), and a piece's stationary point, clipped to the piece.
 Every mesh output goes through one walk (_walk) over blocks of mesh rows
 (times), each block evaluated once per side of the junction, on its columns
 x < 0, x = 0 and x > 0; rows at t = 0 hold the datum. The node-by-lane
-kernels (lanes: trace segments or pieces of G + I) put the lanes on the
-leading axis, so each minimum or maximum over lanes runs across whole rows
-of nodes.
+kernels (lanes: datum pieces, trace segments, fans or pieces of G + I) put
+the lanes on the leading axis, so each minimum or maximum over lanes runs
+across whole rows of nodes.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import sorted_unique, write_csv
+from . import dp_oracle
+from ._util import SolverError, sorted_unique, write_csv
 from .controls import Control
-from .dp_oracle import _dp_side_step, _exit_legs
 from .flux_models import Hamiltonian, InitialData, JunctionModel, ModelError
 
 MOST_AT_ZERO = "MostAtZero"
@@ -54,10 +55,6 @@ TIE_SCALE = 1e-14  # paths within TIE_SCALE (1 + |v|) of the value v tie: roundi
 CONTROL_RANGE_TOL = 1e-9
 GRADIENT_TOL_STEPS = 3.0  # gradient_audit's tolerance, in mesh steps times the Lipschitz bound
 _BLOCK = 1 << 18  # node-by-lane elements per block of rows in the mesh walk
-
-
-class SolverError(ValueError):
-    """Evaluation outside the contract (bad times, meshes, controls)."""
 
 
 @dataclass(frozen=True)
@@ -143,27 +140,17 @@ class Evaluator:
     # ---- straight family ---------------------------------------------------
 
     def _side_min(self, side: int, xe, dt, need_y=False):
-        """Exact min over y in the side's pieces of leg(xe - y, dt) + u0(y)."""
+        """Exact min over y in the side's pieces (the lanes) of leg(xe - y, dt) + u0(y)."""
         P = self._pieces[side]
         H = self.model.left if side < 0 else self.model.right
-        xe_b, dt_b = np.broadcast_arrays(
-            np.asarray(xe, dtype=float), np.asarray(dt, dtype=float)
-        )
-        shape = xe_b.shape
-        xe_f = xe_b.reshape(-1)
-        dt_f = dt_b.reshape(-1)
-        y = xe_f[None, :] - dt_f[None, :] * P["alpha"][:, None]
-        yc = np.clip(y, P["lo"][:, None], P["hi"][:, None])
-        vals = (
-            H.leg_cost(xe_f[None, :] - yc, dt_f[None, :])
-            + P["uref"][:, None]
-            + P["q"][:, None] * (yc - P["yref"][:, None])
-        )
-        best = np.min(vals, axis=0)
+        xe, dt = np.asarray(xe, dtype=float), np.asarray(dt, dtype=float)
+        lanes = (slice(None),) + (None,) * max(xe.ndim, dt.ndim)
+        yc = np.clip(xe - dt * P["alpha"][lanes], P["lo"][lanes], P["hi"][lanes])
+        vals = H.leg_cost(xe - yc, dt) + P["uref"][lanes] + P["q"][lanes] * (yc - P["yref"][lanes])
+        best = np.minimum.reduce(vals, axis=0)
         if not need_y:
-            return best.reshape(shape), None
-        ybest = yc[np.argmin(vals, axis=0), np.arange(vals.shape[1])]
-        return best.reshape(shape), ybest.reshape(shape)
+            return best, None
+        return best, np.take_along_axis(yc, np.argmin(vals, axis=0)[None], axis=0)[0]
 
     def straight_value(self, x, t, need_y=False):
         """F1: cheapest one-sided straight leg into (x, t); a side that holds
@@ -171,9 +158,8 @@ class Evaluator:
         x = np.asarray(x, dtype=float)
         vl, yl = self._side_min(-1, x, t, need_y) if (x <= 0).any() else (np.inf, np.nan)
         vr, yr = self._side_min(1, x, t, need_y) if (x >= 0).any() else (np.inf, np.nan)
-        x_b = np.broadcast_arrays(x, np.asarray(t, dtype=float))[0]
-        vl = np.where(x_b <= 0, vl, np.inf)
-        vr = np.where(x_b >= 0, vr, np.inf)
+        vl = np.where(x <= 0, vl, np.inf)
+        vr = np.where(x >= 0, vr, np.inf)
         out = np.minimum(vl, vr)
         if not need_y:
             return out, None
@@ -271,10 +257,11 @@ class Evaluator:
         return out + self.model.own_side(Hamiltonian.leg_cost, tab["side"][idx], -tab["e"][idx], z)
 
     def _fan_ends(self, x, t):
-        """Stay ends on the fan segments: the approach from the kink, which
-        starts at time 0, takes b (JunctionModel.fan_duration)."""
-        fan = self._seg["side"] != 0
-        return self.model.fan_duration(self._seg["side"][fan], np.abs(self._seg["e"][fan]), x, t)
+        """Stay ends on the fan segments, shaped (fans, *nodes): the approach
+        from the kink, which starts at time 0, takes b (JunctionModel.fan_duration)."""
+        S, fan = self._seg, self._seg["side"] != 0
+        lanes = (fan,) + (None,) * max(np.ndim(x), np.ndim(t))
+        return self.model.fan_duration(S["side"][lanes], np.abs(S["e"])[lanes], x, t)
 
     # ---- dwell family --------------------------------------------------------
 
@@ -294,7 +281,7 @@ class Evaluator:
             s = np.where(x == 0, 0.0, np.abs(x) * np.where(x < 0, *(g[lanes] for g in S["lag"])))
         b = np.clip(t - s, S["lo"][lanes], np.minimum(S["hi"][lanes], t))
         if self._fans:
-            b[S["side"] != 0] = np.moveaxis(self._fan_ends(x[..., None], t[..., None]), -1, 0)
+            b[S["side"] != 0] = self._fan_ends(x, t)
         cost = self._piece(S, lanes, b) + self.exit_cost(x, t, b)
         return b, np.where(S["lo"][lanes] <= t, cost, np.inf)
 
@@ -449,53 +436,8 @@ def trajectory_field(model, u0, A, mesh: Mesh, select: str):
     return dict(zip(("is_dwell", "a", "b", "value"), out))
 
 
-def brute_force_field(model, u0, A, t, lattice=(200, 200), *, domain):
-    """DP oracle on the whole lattice: (nodes, times, V), V[i, k] ~ u(nodes[i], times[k]).
-
-    Paths are piecewise linear with vertices at lattice times, positions
-    interpolated between lattice abscissae; they change sign only through
-    the zero node, where parking costs -integral(A). A path may also end on
-    one exact straight exit leg from the zero node: every node x != 0 takes
-    the cheaper of its lattice value and min over earlier lattice times t_j
-    of V(0, t_j) + leg(x, t - t_j), read from the DP's own junction trace
-    (Lax-Hopf with an internal boundary condition), so long exit legs are
-    not chained through interpolated steps. First-order accurate: the error
-    left is the linear interpolation of the value between abscissae.
-    domain must hold x = 0 in its interior. Node x keeps every path whose
-    legs move at characteristic speeds where the domain holds
-    dp_oracle._dp_domain(model, t, x); nearer the domain's ends paths are
-    cut, so values there can lie above u by more than the first-order error.
-    """
-    nx, nt = lattice
-    if nx < 8 or nt < 8:
-        raise SolverError("lattice must be at least 8x8")
-    if not 0 < t <= A.horizon + 1e-12:  # NaN too
-        raise SolverError(f"t = {t} outside (0, {A.horizon}]")
-    if not domain[0] < 0.0 < domain[1]:
-        raise SolverError(f"DP domain ({domain[0]}, {domain[1]}) must contain x = 0 in its interior")
-    Hl, Hr = model.left, model.right
-    nodes = sorted_unique(np.concatenate([np.linspace(domain[0], domain[1], nx), [0.0]]))
-    iz = int(np.searchsorted(nodes, 0.0))
-    ts = np.linspace(0.0, t, nt + 1)
-    dt = ts[1] - ts[0]
-    V = np.asarray(u0.eval(nodes), dtype=float)
-    out = np.empty((len(nodes), nt + 1))
-    out[:, 0] = V
-    step_l, step_r = _dp_side_step(Hl, nodes[: iz + 1], dt), _dp_side_step(Hr, nodes[iz:], dt)
-    cum = A.cumulative(ts)  # parking on [ts[k], ts[k + 1]] costs -(cum[k + 1] - cum[k])
-    for k in range(nt):
-        vl = step_l(V[: iz + 1])
-        vr = step_r(V[iz:])
-        new = np.empty_like(V)
-        new[:iz] = vl[:-1]
-        new[iz + 1 :] = vr[1:]
-        new[iz] = min(vl[-1], vr[0], V[iz] - (cum[k + 1] - cum[k]))
-        V = new
-        out[:, k + 1] = V
-    # one exact straight exit leg from the junction node, on the DP's own trace
-    out[:iz] = np.minimum(out[:iz], _exit_legs(Hl, nodes[:iz], ts, out[iz]))
-    out[iz + 1 :] = np.minimum(out[iz + 1 :], _exit_legs(Hr, nodes[iz + 1 :], ts, out[iz]))
-    return nodes, ts, out
+# the DP oracle's name here, under which the benchmark's tracer and workloads and the tests import it
+brute_force_field = dp_oracle.brute_force_field
 
 
 def junction_values(model, u0, A, ts):
@@ -511,31 +453,17 @@ def gradient_audit(field: ValueField, model: JunctionModel):
     straddle x = 0 use the weaker of the two side bounds.
     """
     xs, ts, u = field.xs, field.ts, field.u
-    lip = max(model.left.R, model.right.R, model.left.f_max, model.right.f_max)
+    L, R = model.left, model.right
+    lip = max(L.R, R.R, L.f_max, R.f_max)
+    r = np.where(xs[1:] <= 0, L.R, np.where(xs[:-1] >= 0, R.R, max(L.R, R.R)))[:, None]
+    fmax = np.where(xs < 0, L.f_max, np.where(xs > 0, R.f_max, max(L.f_max, R.f_max)))[:, None]
     report = dict(max_violation_x=0.0, max_violation_t=0.0, tol_x=0.0, tol_t=0.0)
-    if len(xs) > 1:
-        dx = np.diff(xs)[:, None]
-        qx = np.diff(u, axis=0) / dx
-        tol = GRADIENT_TOL_STEPS * float(np.max(np.diff(xs))) * lip
-        r_of = np.where(
-            xs[1:] <= 0,
-            model.left.R,
-            np.where(xs[:-1] >= 0, model.right.R, max(model.left.R, model.right.R)),
-        )[:, None]
-        viol = np.maximum(qx - tol, -(qx + r_of) - tol)
-        report["max_violation_x"] = float(max(0.0, viol.max()))
-        report["tol_x"] = tol
-    if len(ts) > 1:
-        dt = np.diff(ts)[None, :]
-        qt = np.diff(u, axis=1) / dt
-        tol = GRADIENT_TOL_STEPS * float(np.max(np.diff(ts))) * lip
-        fmax = np.where(
-            xs < 0,
-            model.left.f_max,
-            np.where(xs > 0, model.right.f_max, max(model.left.f_max, model.right.f_max)),
-        )[:, None]
-        viol = np.maximum(qt - fmax - tol, -qt - tol)
-        report["max_violation_t"] = float(max(0.0, viol.max()))
-        report["tol_t"] = tol
+    # u_x in [-R, 0] per column pair, u_t in [0, f_max] per column
+    for axis, key, grid, lo, hi in ((0, "x", xs, -r, 0.0), (1, "t", ts, 0.0, fmax)):
+        if len(grid) > 1:
+            q = np.diff(u, axis=axis) / np.expand_dims(np.diff(grid), 1 - axis)
+            tol = GRADIENT_TOL_STEPS * float(np.max(np.diff(grid))) * lip
+            report[f"max_violation_{key}"] = float(max(0.0, np.maximum(q - hi - tol, lo - q - tol).max()))
+            report[f"tol_{key}"] = tol
     report["ok"] = report["max_violation_x"] <= 0.0 and report["max_violation_t"] <= 0.0
     return report

@@ -296,6 +296,60 @@ class TestGradientAudit:
             rep = gradient_audit(value_grid(model, u0, A, mesh), model)
             assert rep["ok"], rep
 
+    # asym: left R = 1, f_max = 0.25 and right R = 2, f_max = 0.5; mirror: the sides swapped.
+    # Both bound the quotients by 2, so on steps of at most 0.02 both tolerances are
+    # 3 * 0.02 * 2 = 0.12; a quotient q past its band by d violates it by d - 0.12.
+    XS = (-0.02, -0.01, 0.0, 0.01, 0.03)
+    TS = (0.0, 0.01, 0.03)
+
+    @staticmethod
+    def audit(xs, ts, u, mirror=False):
+        left, right = Hamiltonian(R=1.0, kappa=1.0), Hamiltonian(R=2.0, kappa=0.5)
+        model = JunctionModel(right, left) if mirror else JunctionModel(left, right)
+        xs, ts = np.asarray(xs), np.asarray(ts)
+        u = np.broadcast_to(u(xs[:, None], ts[None, :]), (len(xs), len(ts)))
+        return gradient_audit(hj_junction.ValueField(xs, ts, u), model)
+
+    @pytest.mark.parametrize("xs, column, shift, violation", [
+        (XS, 0, -0.01, 0.88),  # q = +1 on the left pair: 1 - 0.12
+        (XS, 0, 0.02, 0.88),  # q = -2 on the left pair, below -R = -1: 2 - 1 - 0.12
+        (XS, 4, 0.02, 0.88),  # q = +1 on the right pair
+        (XS, 4, -0.06, 0.88),  # q = -3 on the right pair, below -R = -2: 3 - 2 - 0.12
+        ((-0.01, 0.01), 1, -0.05, 0.38),  # q = -2.5 across 0, below max(R) = 2: 2.5 - 2 - 0.12
+        ((-0.01, 0.01), 1, -0.03, 0.0),  # q = -1.5 across 0: inside [-2, 0], not only [-1, 0]
+    ])
+    def test_x_band_violations(self, xs, column, shift, violation):
+        x0 = xs[column]
+        rep = self.audit(xs, self.TS, lambda x, t: np.where(x == x0, shift, 0.0))
+        assert rep["max_violation_x"] == pytest.approx(violation, abs=1e-12)
+        assert (rep["tol_x"], rep["tol_t"]) == pytest.approx((0.12, 0.12), abs=1e-15)
+        assert rep["max_violation_t"] == 0.0
+        assert rep["ok"] is (violation == 0.0)
+
+    @pytest.mark.parametrize("xs, mirror, slope, violation", [
+        (XS, False, 0.5, 0.13),  # the left columns: 0.5 - 0.25 - 0.12; right and x = 0 hold
+        (XS, True, 0.5, 0.13),  # the right columns, f_max 0.25 once the sides swap
+        (XS, False, -0.5, 0.38),  # q = -0.5 below 0 on every column: 0.5 - 0.12
+        ((0.0, 0.01, 0.03), False, 0.5, 0.0),  # x = 0 takes max(f_max) = 0.5, not the left's 0.25
+    ])
+    def test_t_band_violations(self, xs, mirror, slope, violation):
+        rep = self.audit(xs, self.TS, lambda x, t: slope * t, mirror)
+        assert rep["max_violation_t"] == pytest.approx(violation, abs=1e-12)
+        assert (rep["tol_x"], rep["tol_t"]) == pytest.approx((0.12, 0.12), abs=1e-15)
+        assert rep["max_violation_x"] == 0.0
+        assert rep["ok"] is (violation == 0.0)
+
+    def test_one_row_and_one_column_fields_check_only_their_axis(self):
+        row = self.audit(self.XS, (1.0,), lambda x, t: np.where(x == -0.02, -0.01, 0.0))
+        assert row["max_violation_x"] == pytest.approx(0.88, abs=1e-12)
+        assert row["tol_x"] == pytest.approx(0.12, abs=1e-15)
+        assert (row["max_violation_t"], row["tol_t"], row["ok"]) == (0.0, 0.0, False)
+        col = self.audit((-0.02,), self.TS, lambda x, t: 0.5 * t)
+        assert col["max_violation_t"] == pytest.approx(0.13, abs=1e-12)
+        assert col["tol_t"] == pytest.approx(0.12, abs=1e-15)
+        assert (col["max_violation_x"], col["tol_x"], col["ok"]) == (0.0, 0.0, False)
+        assert list(col) == ["max_violation_x", "max_violation_t", "tol_x", "tol_t", "ok"]
+
 
 # ---- the exact evaluator beyond the symmetric single-slope case ------------------
 
@@ -643,7 +697,7 @@ class TestFanLevel:
         t = rng.uniform(0.05, T_HORIZON, 30)[:, None, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            b = ev._fan_ends(x, t)
+            b = np.moveaxis(ev._fan_ends(x[..., 0], t[..., 0]), 0, -1)
         late_end, early_end = bisected_fan_ends(ev, x, t)
         tol = 1e-12 * (1.0 + np.abs(b))
         assert np.all((late_end - tol <= b) & (b <= early_end + tol))
